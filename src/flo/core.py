@@ -56,7 +56,12 @@ class InvalidChoice(FloError):
 
 
 class StepBudgetExceeded(FloError):
-    """Safety cap hit while running to a stuck state; indicates a rank bug."""
+    """A fixed step cap ran out before the run reached a stuck state.
+
+    This reports exhausted work, not a broken operator: ranks bound every
+    run, but a large valid input can need more steps than the cap allows.
+    The message names the cap, the steps taken and the graph's rank.
+    """
 
 
 class BatchShapeMismatch(FloError):
@@ -437,6 +442,17 @@ class StepResult:
     rule: str
 
 
+@dataclass(frozen=True, slots=True)
+class DoneState:
+    """State of an operator whose only memory is whether it has terminated."""
+
+    done: bool
+
+
+RUNNING = DoneState(False)
+FINISHED = DoneState(True)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorDef:
     """An operator: signature, defer keys, step function and rank.
@@ -460,7 +476,7 @@ class OperatorDef:
     rank_fn: Callable
     defer_reads: tuple = ()  # tuple[(key, Tag)]
     defer_writes: tuple = ()
-    params: dict = field(default_factory=dict)  # JSON-able rebuild record
+    params: dict = field(default_factory=dict)  # rebuild record; encode_graph makes it JSON
     rank_arity: int = 1
 
     def steps(self, buffers, state, exhaustive: bool = False) -> list:

@@ -13,6 +13,7 @@ par-right, operator) so event logs can be replayed and audited.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,6 +29,7 @@ from .core import (
     InvalidChoice,
     OperatorDef,
     Rank,
+    RankViolation,
     StepBudgetExceeded,
     SubtypeMismatch,
     bottom,
@@ -388,13 +390,14 @@ def run_to_stuck(
     """Run until no step applies, folding emissions into the outputs.
 
     ``picker(choices, step_index)`` selects among enabled steps; None uses
-    the first enabled step in tree order. The budget is a safety cap:
-    exceeding it means some operator's rank law is broken.
+    the first enabled step in tree order. The budget is a fixed cap on
+    work: a large valid input can exceed it, and StepBudgetExceeded then
+    reports the cap, the steps taken and the graph's current rank.
     """
     steps = 0
     while True:
         if steps > budget:
-            raise StepBudgetExceeded(f"no stuck state within {budget} steps")
+            raise StepBudgetExceeded(budget_message(budget, steps, e))
         if picker is None:
             hit = step_first(e)
             if hit is None:
@@ -435,15 +438,19 @@ class ExploreResult:
 
 
 def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
-    """Breadth-first exploration of every schedule, with state dedup."""
+    """Breadth-first exploration of every schedule, with state dedup.
+
+    Each configuration is recorded with the parent it was first reached
+    from, so ``path_to`` returns a shortest schedule.
+    """
     start = (e, outputs)
     seen = {start}
-    queue = [start]
+    queue = deque([start])
     parents: dict = {start: None}
     stuck = []
     capped = False
     while queue:
-        cfg = queue.pop()
+        cfg = queue.popleft()
         g, outs = cfg
         choices = enabled_steps(g, exhaustive=True)
         if not choices:
@@ -473,18 +480,31 @@ def graph_rank(e) -> Rank:
     Stepping any node strictly decreases its own components while leaving
     everything to its left untouched, so the concatenation decreases
     lexicographically even when a sequence-left step refills buffers on
-    the right.
+    the right. A node rank shorter than its operator's ``rank_arity`` is
+    padded with zeros; a longer one raises RankViolation.
     """
     comps: list = []
 
     def walk(g):
         if isinstance(g, Node):
             r = g.op.rank(g.buffers, g.state).components
-            r = r + (0,) * (g.op.rank_arity - len(r))
-            comps.extend(r[: g.op.rank_arity] if len(r) > g.op.rank_arity else r)
+            arity = g.op.rank_arity
+            if len(r) > arity:
+                raise RankViolation(
+                    f"{g.op.name}: rank has {len(r)} components, rank_arity is {arity}"
+                )
+            comps.extend(r + (0,) * (arity - len(r)))
         else:
             walk(g.left)
             walk(g.right)
 
     walk(e)
     return Rank(tuple(comps))
+
+
+def budget_message(budget: int, steps: int, e) -> str:
+    """Why a capped run stopped: the cap, the work done, the rank left."""
+    return (
+        f"step budget of {budget} exhausted after {steps} steps without reaching "
+        f"a stuck state; the graph rank is still {graph_rank(e).components}"
+    )

@@ -164,6 +164,20 @@ def decode_delta(j, tag: Tag):
 # graphs
 
 
+_VALUE_TYPES = (SeqValue, LVarValue, ZSetValue, SetValue, SingletonNat, NestedSeqValue)
+
+
+def _encode_param(p):
+    """Operator params are JSON except for a nest's graphs and a read_defer's init."""
+    from .graph import Node, Par, Seq
+
+    if isinstance(p, (Node, Seq, Par)):
+        return encode_graph(p)
+    if isinstance(p, _VALUE_TYPES):
+        return encode_value(p)
+    return p
+
+
 def encode_graph(e):
     from .graph import Node, Seq
 
@@ -171,7 +185,7 @@ def encode_graph(e):
         return {
             "op": {
                 "name": e.op.name,
-                "params": e.op.params,
+                "params": {k: _encode_param(v) for k, v in e.op.params.items()},
                 "buffers": [encode_value(b) for b in e.buffers],
             }
         }

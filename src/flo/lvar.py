@@ -22,11 +22,13 @@ from .core import (
     Bound,
     CollectionLanguage,
     ElemType,
+    FINISHED,
     FloError,
     NAT,
     OperatorDef,
     Payload,
     PayloadShapeMismatch,
+    RUNNING,
     Rank,
     StepResult,
     StreamType,
@@ -201,14 +203,6 @@ def lvar_tag(lattice_id: str) -> Tag:
 # operators
 
 
-@dataclass(frozen=True, slots=True)
-class DoneState:
-    done: bool
-
-
-_RUNNING = DoneState(False)
-_DONE = DoneState(True)
-
 WATCHING, FIRED, CLOSED = 2, 1, 0
 
 
@@ -235,7 +229,7 @@ def fold_lattice(fn, lattice_id: str, elem_in: ElemType = ANY, bound: Bound = U)
                 )
             ]
         if inp.terminated and not state.done:
-            return [StepResult(buffers, _DONE, (TERMINATOR,), "fold-lattice-terminated")]
+            return [StepResult(buffers, FINISHED, (TERMINATOR,), "fold-lattice-terminated")]
         return []
 
     def rank(buffers, state):
@@ -245,7 +239,7 @@ def fold_lattice(fn, lattice_id: str, elem_in: ElemType = ANY, bound: Bound = U)
         name="fold_lattice",
         inputs=(StreamType(seq_tag(elem_in), bound),),
         outputs=(StreamType(lvar_tag(lattice_id), bound),),
-        initial_state=_RUNNING,
+        initial_state=RUNNING,
         steps_fn=steps,
         rank_fn=rank,
         params={"fn": catalog.spec_of(f), "lattice": lattice_id, "elem": str(elem_in), "bound": bound.value},
@@ -332,7 +326,7 @@ def to_sequence(lattice_id: str, *, _bound: Bound = B) -> OperatorDef:
             return [
                 StepResult(
                     buffers,
-                    _DONE,
+                    FINISHED,
                     (Payload(SeqValue(True, (inp.value,))),),
                     "to-sequence",
                 )
@@ -346,7 +340,7 @@ def to_sequence(lattice_id: str, *, _bound: Bound = B) -> OperatorDef:
         name="to_sequence",
         inputs=(StreamType(lvar_tag(lattice_id), _bound),),
         outputs=(StreamType(seq_tag(lat.elem_type), _bound),),
-        initial_state=_RUNNING,
+        initial_state=RUNNING,
         steps_fn=steps,
         rank_fn=rank,
         params={"lattice": lattice_id},
@@ -368,7 +362,7 @@ def to_sequence_naive(lattice_id: str, bound: Bound = U) -> OperatorDef:
             return [
                 StepResult(
                     buffers,
-                    _DONE,
+                    FINISHED,
                     (Payload(SeqValue(False, (inp.value,))),),
                     "to-sequence-naive",
                 )
@@ -382,7 +376,7 @@ def to_sequence_naive(lattice_id: str, bound: Bound = U) -> OperatorDef:
         name="to_sequence_naive",
         inputs=(StreamType(lvar_tag(lattice_id), bound),),
         outputs=(StreamType(seq_tag(lat.elem_type), bound),),
-        initial_state=_RUNNING,
+        initial_state=RUNNING,
         steps_fn=steps,
         rank_fn=rank,
         params={"lattice": lattice_id, "bound": bound.value},

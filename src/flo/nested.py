@@ -198,6 +198,9 @@ def read_defer(key: str, tag: Tag, init=None) -> OperatorDef:
     """
     if init is not None and not is_fixed(init):
         raise GraphTypeError(f"read_defer({key!r}) initial value must be fixed")
+    params = {"key": key, "tag": str(tag)}
+    if init is not None:
+        params["init"] = init
 
     def steps(buffers, state, exhaustive):
         if state.pending is None:
@@ -218,7 +221,7 @@ def read_defer(key: str, tag: Tag, init=None) -> OperatorDef:
         steps_fn=steps,
         rank_fn=rank,
         defer_reads=((key, tag),),
-        params={"key": key, "tag": str(tag)},
+        params=params,
     )
 
 
@@ -337,6 +340,10 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
     out_tag = nested_tag(gt.outputs)
     bottoms = tuple(bottom(st.collection) for st in gt.outputs)
     g_rank_arity = len(graph_rank(g).components)
+    if params is None:
+        params = {"bound": outer_bound.value, "graph": g}
+        if g_o is not None:
+            params["copy"] = g_o
 
     def steps(buffers, state, exhaustive):
         (v,) = buffers
@@ -419,6 +426,6 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
         initial_state=NestState(BEFORE, g, ()),
         steps_fn=steps,
         rank_fn=rank,
-        params=params or {"bound": outer_bound.value},
+        params=params,
         rank_arity=2 + g_rank_arity,
     )

@@ -30,6 +30,7 @@ from .core import (
 )
 from .graph import (
     apply_outputs,
+    budget_message,
     enabled_steps,
     inputs,
     set_inputs,
@@ -211,7 +212,7 @@ def _run_steps(graph, outputs, picker, budget, log, iteration):
             )
         steps += 1
     if budget is None:
-        raise StepBudgetExceeded(f"no stuck state within {SAFETY_CAP} steps")
+        raise StepBudgetExceeded(budget_message(SAFETY_CAP, steps, graph))
     return graph, outputs, steps
 
 

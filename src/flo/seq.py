@@ -25,12 +25,14 @@ from .core import (
     Bound,
     CollectionLanguage,
     ElemType,
+    FINISHED,
     FloError,
     NAT,
     OperatorDef,
     Payload,
     PayloadShapeMismatch,
     Push,
+    RUNNING,
     Rank,
     StepResult,
     StreamType,
@@ -194,11 +196,6 @@ NAT_TAG = Tag("nat")
 
 
 @dataclass(frozen=True, slots=True)
-class PhaseState:
-    done: bool
-
-
-@dataclass(frozen=True, slots=True)
 class AccState:
     acc: object
     done: bool
@@ -214,10 +211,6 @@ class WindowState:
 class LastState:
     latest: object
     done: bool
-
-
-RUNNING = PhaseState(False)
-FINISHED = PhaseState(True)
 
 
 def _flag(done: bool) -> int:

@@ -19,12 +19,14 @@ from .core import (
     ElemType,
     EMPTY,
     Extend,
+    FINISHED,
     FloError,
     LANGUAGES,
     OperatorDef,
     Payload,
     PayloadShapeMismatch,
     Push,
+    RUNNING,
     Rank,
     StepResult,
     StreamType,
@@ -120,15 +122,6 @@ def edge_tag(elem: ElemType = ANY) -> Tag:
 # set operators
 
 
-@dataclass(frozen=True, slots=True)
-class DoneState:
-    done: bool
-
-
-_RUNNING = DoneState(False)
-_DONE = DoneState(True)
-
-
 def set_union(elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     """Union of two set streams; terminates once both inputs fix."""
 
@@ -156,7 +149,7 @@ def set_union(elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
         if results:
             return results
         if left.fixed and right.fixed and not state.done:
-            return [StepResult(buffers, _DONE, (TERMINATOR,), "union-terminated")]
+            return [StepResult(buffers, FINISHED, (TERMINATOR,), "union-terminated")]
         return []
 
     def rank(buffers, state):
@@ -167,7 +160,7 @@ def set_union(elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
         name="set_union",
         inputs=(st, st),
         outputs=(st,),
-        initial_state=_RUNNING,
+        initial_state=RUNNING,
         steps_fn=steps,
         rank_fn=rank,
         params={"elem": str(elem), "bound": bound.value},

@@ -17,9 +17,11 @@ from .core import (
     Bound,
     CollectionLanguage,
     ElemType,
+    FINISHED,
     OperatorDef,
     Payload,
     PayloadShapeMismatch,
+    RUNNING,
     Rank,
     StepResult,
     StreamType,
@@ -54,10 +56,19 @@ def zset(cards: dict, fixed: bool = False) -> ZSetValue:
 
 
 def add_cards(a: dict, b: dict) -> dict:
+    """Keywise sum as a new dict, dropping keys that cancel to zero.
+
+    One C-level copy of ``a``, then a Python loop over ``b`` only, so the
+    cost in Python is O(|b|). ``a`` must hold no zero entries.
+    """
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v != 0}
+        v += out.get(k, 0)
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
 
 
 def join_cards(a: dict, b: dict) -> dict:
@@ -123,15 +134,6 @@ def zset_tag(key_type: ElemType = ANY) -> Tag:
 # operators
 
 
-@dataclass(frozen=True, slots=True)
-class DoneState:
-    done: bool
-
-
-_RUNNING = DoneState(False)
-_DONE = DoneState(True)
-
-
 def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     """Keywise transform of cardinalities; linear in the cardinality.
 
@@ -153,7 +155,7 @@ def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
             indices = range(len(inp.cards)) if exhaustive else (0,)
             return [step_key(inp, state, i) for i in indices]
         if inp.fixed and not state.done:
-            return [StepResult(buffers, _DONE, (TERMINATOR,), "map-zset-terminated")]
+            return [StepResult(buffers, FINISHED, (TERMINATOR,), "map-zset-terminated")]
         return []
 
     def rank(buffers, state):
@@ -163,7 +165,7 @@ def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
         name="zset_map",
         inputs=(StreamType(zset_tag(key_type), bound),),
         outputs=(StreamType(zset_tag(key_type), bound),),
-        initial_state=_RUNNING,
+        initial_state=RUNNING,
         steps_fn=steps,
         rank_fn=rank,
         params={"fn": catalog.spec_of(f), "key": str(key_type), "bound": bound.value},
@@ -172,9 +174,22 @@ def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
 
 @dataclass(frozen=True, slots=True)
 class JoinState:
-    seen_left: tuple  # accumulated consumed z-set, canonical card tuples
-    seen_right: tuple
+    """The consumed input of each side, as key -> cardinality dicts.
+
+    The dicts are never mutated after construction: a drain copies a side
+    and updates only the keys in its delta. Dict equality ignores
+    insertion order and the hash is structural to match, so the explorer
+    deduplicates states that different drain orders reach.
+    """
+
+    seen_left: dict  # no zero entries
+    seen_right: dict
     done: bool
+
+    def __hash__(self):
+        return hash(
+            (frozenset(self.seen_left.items()), frozenset(self.seen_right.items()), self.done)
+        )
 
 
 def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
@@ -186,16 +201,12 @@ def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     confluent choices (bilinearity makes every interleaving agree).
     """
 
-    def drain(left, right, state, dl: dict, dr: dict, left_rest, right_rest):
-        sl, sr = dict(state.seen_left), dict(state.seen_right)
+    def drain(state, dl: dict, dr: dict, left_rest, right_rest):
+        sl, sr = state.seen_left, state.seen_right
         emitted = add_cards(
             add_cards(join_cards(sl, dr), join_cards(dl, sr)), join_cards(dl, dr)
         )
-        new_state = JoinState(
-            tuple(sorted(add_cards(sl, dl).items(), key=lambda kv: sort_key(kv[0]))),
-            tuple(sorted(add_cards(sr, dr).items(), key=lambda kv: sort_key(kv[0]))),
-            False,
-        )
+        new_state = JoinState(add_cards(sl, dl), add_cards(sr, dr), False)
         return StepResult(
             (left_rest, right_rest),
             new_state,
@@ -209,8 +220,6 @@ def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
         if left.cards or right.cards:
             results.append(
                 drain(
-                    left,
-                    right,
                     state,
                     left.as_dict(),
                     right.as_dict(),
@@ -222,11 +231,11 @@ def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
                 for i in range(len(left.cards)):
                     k, v = left.cards[i]
                     rest = ZSetValue(left.cards[:i] + left.cards[i + 1 :], left.fixed)
-                    results.append(drain(left, right, state, {k: v}, {}, rest, right))
+                    results.append(drain(state, {k: v}, {}, rest, right))
                 for i in range(len(right.cards)):
                     k, v = right.cards[i]
                     rest = ZSetValue(right.cards[:i] + right.cards[i + 1 :], right.fixed)
-                    results.append(drain(left, right, state, {}, {k: v}, left, rest))
+                    results.append(drain(state, {}, {k: v}, left, rest))
             return results
         if left.fixed and right.fixed and not state.done:
             return [
@@ -248,7 +257,7 @@ def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
         name="zset_join",
         inputs=(st, st),
         outputs=(st,),
-        initial_state=JoinState((), (), False),
+        initial_state=JoinState({}, {}, False),
         steps_fn=steps,
         rank_fn=rank,
         params={"key": str(key_type), "bound": bound.value},

@@ -1,5 +1,7 @@
 """Graph composition: typechecking, exterior inputs, small steps, stuck runs."""
 
+from collections import deque
+
 import pytest
 
 from conftest import run_graph
@@ -12,18 +14,26 @@ from flo.core import (
     DeferKeyUnbound,
     EMPTY,
     INT,
+    OperatorDef,
     Payload,
+    Rank,
+    RankViolation,
+    StepBudgetExceeded,
     StreamType,
     SubtypeMismatch,
     U,
+    bottom,
 )
 from flo.graph import (
     Par,
     Seq,
+    apply_outputs,
     enabled_steps,
+    explore_all,
     graph_rank,
     inputs,
     node,
+    out_types,
     run_to_stuck,
     seq_chain,
     set_inputs,
@@ -33,6 +43,7 @@ from flo.graph import (
 from flo.nested import write_defer, make_nest
 from flo.seq import SeqValue, fold, scan, seq, seq_map, seq_tag, tee, forward
 from flo.sets import set_tag
+from flo.zset import zset, zset_join, zset_map
 
 
 def scan_map():
@@ -201,3 +212,75 @@ def test_invalid_choice_rejected():
         step_graph(g, StepChoice((), 5))
     with pytest.raises(InvalidChoice):
         step_graph(g, StepChoice(("L",), 0))
+
+
+def test_budget_exhaustion_on_a_valid_pipeline_reports_the_cap():
+    # 6 000 items through two maps need 12 000 steps: more than the default
+    # cap, though every rank descends. The error must say so, not blame ranks.
+    g = seq_chain(node(seq_map("inc", INT, INT, U)), node(seq_map("inc", INT, INT, U)))
+    g = set_inputs(g, (seq(*range(6000)),))
+    with pytest.raises(StepBudgetExceeded) as err:
+        run_to_stuck(g, (SeqValue(False, ()),))
+    msg = str(err.value)
+    assert "step budget of 10000" in msg and "after 10001 steps" in msg
+    assert "graph rank is still" in msg
+    assert "violation" not in msg.lower() and "rank bug" not in msg
+
+
+def toy_op(rank_components, rank_arity):
+    return OperatorDef(
+        name="toy",
+        inputs=(StreamType(seq_tag(INT), U),),
+        outputs=(),
+        initial_state=None,
+        steps_fn=lambda buffers, state, exhaustive: [],
+        rank_fn=lambda buffers, state: Rank(rank_components),
+        rank_arity=rank_arity,
+    )
+
+
+class TestGraphRankArity:
+    def test_short_rank_is_padded(self):
+        g = Par(node(toy_op((3,), 2)), node(toy_op((5,), 1)))
+        assert graph_rank(g).components == (3, 0, 5)
+
+    def test_over_long_rank_rejected(self):
+        with pytest.raises(RankViolation, match=r"toy: rank has 2 components, rank_arity is 1"):
+            graph_rank(node(toy_op((1, 2), 1)))
+
+
+def bfs_depths(g, outs):
+    """Oracle: the length of a shortest schedule to every reachable configuration."""
+    start = (g, outs)
+    depth = {start: 0}
+    queue = deque([start])
+    while queue:
+        cfg = queue.popleft()
+        for ch in enabled_steps(cfg[0], exhaustive=True):
+            g2, deltas, _ = step_graph(cfg[0], ch, exhaustive=True)
+            nxt = (g2, apply_outputs(cfg[1], deltas))
+            if nxt not in depth:
+                depth[nxt] = depth[cfg] + 1
+                queue.append(nxt)
+    return depth
+
+
+def test_explore_all_returns_shortest_schedules():
+    # zset_join drains its buffers in one canonical step or one key at a
+    # time, so the same configurations lie on schedules of different lengths.
+    scale = {"name": "scale", "c": 2}
+    g = seq_chain(Par(node(zset_map(scale, INT)), node(zset_map(scale, INT))), node(zset_join(INT)))
+    g = set_inputs(g, (zset({1: 1, 2: 1}), zset({1: 1})))
+    outs = tuple(bottom(st.collection) for st in out_types(g))
+    res = explore_all(g, outs)
+    depth = bfs_depths(g, outs)
+    assert res.visited == len(depth) and not res.capped
+    assert res.stuck
+    for stuck in res.stuck:
+        path = res.path_to(stuck)
+        assert len(path) == depth[stuck]
+        cur_g, cur_o = g, outs
+        for ch in path:
+            cur_g, deltas, _ = step_graph(cur_g, ch, exhaustive=True)
+            cur_o = apply_outputs(cur_o, deltas)
+        assert (cur_g, cur_o) == stuck

@@ -1,13 +1,17 @@
 """JSON round-trips for values, deltas, graphs and traces."""
 
+import json
+
 import pytest
 
+from flo import programs
 from flo.core import B, INT, StreamType, U
 from flo.gen import gen_delta, gen_value
 from flo.graph import inputs, typecheck
 from flo.jsonio import (
     decode_delta,
     decode_graph,
+    decode_trace,
     decode_value,
     encode_delta,
     encode_graph,
@@ -93,3 +97,26 @@ def test_parse_tag_grammar():
     assert str(parse_tag("nested<(seq<int>,B),(set<int>,U)>")) == "nested<(seq<int>,B),(set<int>,U)>"
     st = parse_stream("(lvar<max_nat>,U)")
     assert st.bound is U and st.collection.params == ("max_nat",)
+
+
+def test_nest_and_read_defer_round_trip():
+    # The encoding carries each nest's inner graph and each read_defer's
+    # initial value, so decoding rebuilds the same program.
+    from flo.scheduler import run_trace
+
+    g = programs.reachability_dynamic(0, 3)
+    doc = encode_graph(g)
+    again = decode_graph(json.loads(json.dumps(doc)))
+    assert encode_graph(again) == doc
+    edges = {"elems": [[0, 1], [1, 2], [2, 3], [3, 4]], "fixed": True}
+    trace = decode_trace(
+        [
+            {"batch": [{"push": [edges]}, {"push": [{"value": k, "fixed": True}]}], "drain": "all"}
+            for k in (1, 2)
+        ],
+        typecheck(g).inputs,
+    )
+    (want,) = run_trace(g, trace).totals
+    (got,) = run_trace(again, trace).totals
+    assert got == want
+    assert [t[0].elems for t in reversed(want.tuples)] == [{0, 1}, {0, 1, 2, 3}]

@@ -232,9 +232,9 @@ class TestNestRunStepGate:
         # write_defer holding `write_buffer`.
         from flo.graph import Node
         from flo.nested import NestState, RUNNING_PHASE
-        from flo.seq import PhaseState
+        from flo.core import FINISHED
 
-        done = PhaseState(True)
+        done = FINISHED
         tee_node = Node((sset((), fixed=True),), inner.left.op, done)
         fwd_node = Node((sset((), fixed=True),), inner.right.left.op, done)
         wd_node = Node((write_buffer,), inner.right.right.op, None)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from flo.core import Payload, TERMINATOR
+from flo import scheduler
+from flo.core import Payload, StepBudgetExceeded, TERMINATOR
 from flo.graph import inputs, run_to_stuck
 from flo.programs import fold_pipeline, scan_pipeline
 from flo.scheduler import (
@@ -165,3 +166,13 @@ def test_converged_loop_is_insensitive_to_more_iterations():
     for budget in (0, 3, None):
         cfg2, drained = loop_iteration(settled, batch(EMPTY), picker, budget, DrainNone())
         assert cfg2 == settled and drained == (None,)
+
+
+def test_safety_cap_reports_budget_and_rank(monkeypatch):
+    monkeypatch.setattr(scheduler, "SAFETY_CAP", 5)
+    trace = [TraceStep(batch(payload(*range(20))), None, DrainNone())]
+    with pytest.raises(StepBudgetExceeded) as err:
+        run_trace(scan_pipeline(), trace)
+    msg = str(err.value)
+    assert "step budget of 5 exhausted after 5 steps" in msg
+    assert msg.endswith("graph rank is still (16,)")  # 15 items left, not terminated

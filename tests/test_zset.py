@@ -8,7 +8,8 @@ from conftest import batch_zset_join, run_op
 
 from flo.core import INT, Payload, TERMINATOR, concat
 from flo.graph import node, run_to_stuck, set_inputs
-from flo.zset import ZSetValue, add_cards, zset, zset_join, zset_map
+from flo import zset as zset_module
+from flo.zset import JoinState, ZSetValue, add_cards, zset, zset_join, zset_map
 
 
 def test_zero_entries_canonicalized_away():
@@ -111,3 +112,90 @@ def test_incremental_join_equals_batch(left, right, seed):
     for d in right:
         whole_right = add_cards(whole_right, d)
     assert totals == batch_zset_join(whole_left, whole_right)
+
+
+def test_add_cards_drops_cancelled_keys():
+    assert add_cards({1: 2, 2: 1}, {1: -2, 3: 0, 4: 5}) == {2: 1, 4: 5}
+
+
+def drain_once(op, state, left, right, choice=0):
+    r = op.steps((left, right), state, True)[choice]
+    return r.state, r.buffers, r.deltas[0].value
+
+
+def test_join_state_equality_ignores_insertion_order():
+    op = zset_join(INT)
+    ab, _, _ = drain_once(op, op.initial_state, zset({1: 2, 2: -1}), zset({}), choice=1)
+    ab, _, _ = drain_once(op, ab, zset({2: -1}), zset({}))
+    ba, _, _ = drain_once(op, op.initial_state, zset({1: 2, 2: -1}), zset({}), choice=2)
+    ba, _, _ = drain_once(op, ba, zset({1: 2}), zset({}))
+    assert list(ab.seen_left) != list(ba.seen_left)  # inserted in different orders
+    assert ab == ba and hash(ab) == hash(ba)
+    assert len({ab, ba, JoinState({2: -1, 1: 2}, {}, False)}) == 1
+    assert ab != JoinState({1: 2}, {}, False)
+
+
+def keywise_sum(a: dict, b: dict) -> dict:
+    """Oracle for add_cards: sum every key, then drop the zeros."""
+    keys = set(a) | set(b)
+    return {k: a.get(k, 0) + b.get(k, 0) for k in keys if a.get(k, 0) + b.get(k, 0)}
+
+
+def test_random_drains_keep_stored_sides_equal_to_sums():
+    # Canonical and single-key drains in a seeded random order, with
+    # retractions that cancel stored keys exactly to zero.
+    rng = random.Random(20)
+    op = zset_join(INT)
+    state, bufs = op.initial_state, (zset({}), zset({}))
+    fed = [{}, {}]
+    emitted: dict = {}
+    cancelled = 0
+    for _ in range(400):
+        side = rng.randrange(2)
+        if fed[side] and rng.random() < 0.3:
+            k = rng.choice(sorted(fed[side]))
+            d = {k: -fed[side][k]}
+            cancelled += 1
+        else:
+            d = {rng.randrange(8): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 3))}
+        fed[side] = keywise_sum(fed[side], d)
+        bufs = tuple(concat(b, Payload(zset(d))) if i == side else b for i, b in enumerate(bufs))
+        if rng.random() < 0.6:
+            outcomes = op.steps(bufs, state, True)
+            if outcomes:
+                r = rng.choice(outcomes)
+                state, bufs = r.state, r.buffers
+                emitted = keywise_sum(emitted, r.deltas[0].value.as_dict())
+        for seen, buf, total in zip((state.seen_left, state.seen_right), bufs, fed):
+            assert keywise_sum(seen, buf.as_dict()) == total
+            assert 0 not in seen.values()
+    while bufs[0].cards or bufs[1].cards:
+        state, bufs, out = drain_once(op, state, *bufs)
+        emitted = keywise_sum(emitted, out.as_dict())
+    assert cancelled > 20
+    assert (state.seen_left, state.seen_right) == tuple(fed)
+    assert 0 not in state.seen_left.values() and 0 not in state.seen_right.values()
+    assert emitted == batch_zset_join(*fed)
+
+
+def test_join_sort_key_calls_grow_with_delta_not_state(monkeypatch):
+    # 1 000 single-key batches: the stored sides grow to 500 keys each, but
+    # a drain may only sort what it emits.
+    op = zset_join(INT)
+    empty = zset({})
+    batches = [(zset({i // 2: 1}), empty) if i % 2 == 0 else (empty, zset({i // 2: 1})) for i in range(1000)]
+    calls = 0
+    real_sort_key = zset_module.sort_key
+
+    def counting_sort_key(x):
+        nonlocal calls
+        calls += 1
+        return real_sort_key(x)
+
+    monkeypatch.setattr(zset_module, "sort_key", counting_sort_key)
+    state = op.initial_state
+    for buffers in batches:
+        (r,) = op.steps(buffers, state, False)
+        state = r.state
+    assert len(state.seen_left) == len(state.seen_right) == 500
+    assert calls <= 2 * len(batches)
