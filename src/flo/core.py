@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +143,18 @@ class ElemType:
     Kept deliberately small: ``any``, ``int``, ``nat``, ``bool``, ``str``
     and ``pair`` cover every operator in the standard library. Membership
     is decidable so collection-type membership is decidable.
+
+    ``check`` is ``matches`` compiled once, at construction, into one
+    predicate; collection ``member`` looks it up once per value and calls
+    it per element.
     """
 
     name: str
     args: tuple = ()
+    check: Callable = field(init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "check", _compile_elem(self))
 
     def matches(self, value) -> bool:
         if self.name == "any":
@@ -172,6 +180,25 @@ class ElemType:
         if self.args:
             return f"{self.name}<{','.join(str(a) for a in self.args)}>"
         return self.name
+
+
+def _compile_elem(t: ElemType) -> Callable:
+    """One predicate equivalent to ``t.matches``."""
+    name = t.name
+    if name == "any":
+        return lambda v: True
+    if name == "int":
+        return lambda v: isinstance(v, int) and not isinstance(v, bool)
+    if name == "nat":
+        return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    if name == "bool":
+        return lambda v: isinstance(v, bool)
+    if name == "str":
+        return lambda v: isinstance(v, str)
+    if name == "pair" and len(t.args) == 2 and all(isinstance(a, ElemType) for a in t.args):
+        first, second = t.args[0].check, t.args[1].check
+        return lambda v: isinstance(v, tuple) and len(v) == 2 and first(v[0]) and second(v[1])
+    return t.matches  # raises FloError for an unknown name, as matches does
 
 
 ANY = ElemType("any")
@@ -219,11 +246,6 @@ def subtype(a: StreamType, b: StreamType) -> bool:
     if a == b:
         return True
     return a.collection == b.collection and a.bound is B and b.bound is U
-
-
-def subtype_tuple(xs: Iterable[StreamType], ys: Iterable[StreamType]) -> bool:
-    xs, ys = tuple(xs), tuple(ys)
-    return len(xs) == len(ys) and all(subtype(a, b) for a, b in zip(xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +400,14 @@ class CollectionLanguage:
         """Drain up to n oldest units; default drains nothing."""
         return None, value
 
+    # A full drain of a value that can only be delivered whole (one-shot
+    # singletons, lattice points) waits until the value is fixed.
+    whole_drain_requires_fixed = False
+
+    def recombine(self, total, piece):
+        """Fold one drained piece back into the running total."""
+        return concat(total, self.value_delta(piece))
+
     def bottom_like(self, value):
         raise NotImplementedError
 
@@ -459,6 +489,10 @@ class OperatorDef:
 
     ``steps_fn(buffers, state, exhaustive)`` returns every currently
     enabled step outcome; an empty list means the operator is stuck.
+    ``steps_fn`` and ``rank_fn`` must be pure functions of their
+    arguments: the graph engine reuses a listed outcome instead of asking
+    again, and remembers on a node that it is stuck until its buffers or
+    state change.
     Deterministic operators return at most one outcome. Operators with
     internal nondeterminism order their outcomes canonically and may
     expose extra equivalent choices when ``exhaustive`` is set, for the

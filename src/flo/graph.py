@@ -9,12 +9,19 @@ exploration of schedules safe.
 
 Step rules carry their names (sequence-left, sequence-right, par-left,
 par-right, operator) so event logs can be replayed and audited.
+
+All stepping goes through one engine: ``_enabled`` lists the enabled steps
+together with the operator outcome each would apply, ``_apply`` rebuilds
+the tree around a listed outcome without evaluating the operator again,
+and ``trajectory`` is the one run loop built on them. A subtree found to
+have no enabled step remembers it (see ``Node``), so later walks skip it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import is_
 from typing import Callable, Optional
 
 from .core import (
@@ -43,23 +50,36 @@ from .core import (
 # graph expressions
 
 
+# Stuckness memo, one bit per step mode (indexed by ``exhaustive``). A cache,
+# not state: it is left out of equality, hashing and repr, and it stays true
+# because operators are pure and trees are never mutated otherwise.
+_STUCK_BIT = (1, 2)
+
+
+def _memo():
+    return field(default=0, init=False, compare=False, hash=False, repr=False)
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
     buffers: tuple
     op: OperatorDef
     state: object
+    _stuck: int = _memo()
 
 
 @dataclass(frozen=True, slots=True)
 class Seq:
     left: object
     right: object
+    _stuck: int = _memo()
 
 
 @dataclass(frozen=True, slots=True)
 class Par:
     left: object
     right: object
+    _stuck: int = _memo()
 
 
 GraphExpr = object  # Node | Seq | Par
@@ -235,16 +255,24 @@ def inputs(e) -> tuple:
 
 
 def set_inputs(e, new: tuple):
+    """Replace the exterior buffers; a subtree whose buffers are all the
+    same objects comes back as itself, so its stuckness memo survives."""
     if isinstance(e, Node):
-        if len(new) != len(e.buffers):
-            raise ArityMismatch(f"{e.op.name}: {len(new)} values for {len(e.buffers)} buffers")
+        old = e.buffers
+        if len(new) != len(old):
+            raise ArityMismatch(f"{e.op.name}: {len(new)} values for {len(old)} buffers")
+        if all(map(is_, new, old)):
+            return e
         return Node(tuple(new), e.op, e.state)
     if isinstance(e, Seq):
-        return Seq(set_inputs(e.left, new), e.right)
+        left = set_inputs(e.left, new)
+        return e if left is e.left else Seq(left, e.right)
     n_left = len(inputs(e.left))
     if len(new) < n_left:
         raise ArityMismatch("parallel input split underflow")
-    return Par(set_inputs(e.left, new[:n_left]), set_inputs(e.right, new[n_left:]))
+    left = set_inputs(e.left, new[:n_left])
+    right = set_inputs(e.right, new[n_left:])
+    return e if left is e.left and right is e.right else Par(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -255,68 +283,108 @@ def set_inputs(e, new: tuple):
 class StepChoice:
     path: tuple  # of "L"/"R", ending at a Node
     index: int  # operator-internal choice
+    # (node, exhaustive, StepResult) when the choice was listed by the
+    # engine: applying it to that same node reuses the outcome. Not part
+    # of the choice's identity.
+    found: Optional[tuple] = field(default=None, compare=False, hash=False, repr=False)
 
     def __str__(self):
         return f"{''.join(self.path) or '.'}#{self.index}"
 
 
-def enabled_steps(e, exhaustive: bool = False) -> list:
-    """Every applicable step, identified by node path and choice index."""
-    out = []
+def _enabled(e, path, exhaustive, first, out):
+    """Append to ``out`` a StepChoice for every step enabled under ``e``.
 
-    def walk(g, path):
-        if isinstance(g, Node):
-            n = len(g.op.steps(g.buffers, g.state, exhaustive))
-            out.extend(StepChoice(path, i) for i in range(n))
+    With ``first`` set, stop after the first one in tree order. A subtree
+    found to have none is marked stuck for this mode; marked subtrees are
+    skipped without evaluating their operators.
+    """
+    bit = _STUCK_BIT[exhaustive]
+    if isinstance(e, Node):
+        if e._stuck & bit:
+            return
+        outcomes = e.op.steps(e.buffers, e.state, exhaustive)
+        if not outcomes:
+            object.__setattr__(e, "_stuck", e._stuck | bit)
+        elif first:
+            out.append(StepChoice(path, 0, (e, exhaustive, outcomes[0])))
         else:
-            walk(g.left, path + ("L",))
-            walk(g.right, path + ("R",))
+            for i, r in enumerate(outcomes):
+                out.append(StepChoice(path, i, (e, exhaustive, r)))
+        return
+    if not isinstance(e, (Seq, Par)):
+        raise InvalidChoice(f"not a graph expression: {e!r}")
+    if e._stuck & bit:
+        return
+    before = len(out)
+    _enabled(e.left, path + ("L",), exhaustive, first, out)
+    if not (first and len(out) > before):
+        _enabled(e.right, path + ("R",), exhaustive, first, out)
+    if len(out) == before:
+        object.__setattr__(e, "_stuck", e._stuck | bit)
 
-    walk(e, ())
+
+def enabled_steps(e, exhaustive: bool = False) -> list:
+    """Every applicable step, identified by node path and choice index.
+
+    Each choice carries the outcome it would apply, so ``step_graph`` on
+    the same graph does not evaluate the operator a second time.
+    """
+    out: list = []
+    _enabled(e, (), exhaustive, False, out)
     return out
 
 
-def _apply(e, path, index, exhaustive):
-    """Returns (graph', deltas, rule chain)."""
-    if isinstance(e, Node):
-        if path:
+def _apply(e, choice, exhaustive):
+    """Apply ``choice`` to ``e``; returns (graph', deltas, rule chain).
+
+    Walks down the choice's path, steps the operator at its end (reusing
+    the outcome the choice was listed with), then rebuilds each composite
+    on the way back up, feeding a sequence's right side what its left
+    side emitted.
+    """
+    trail = []  # (composite, side) along the path, outermost first
+    for side in choice.path:
+        if isinstance(e, Node):
             raise InvalidChoice("path descends past an operator node")
+        if not isinstance(e, (Seq, Par)):
+            raise InvalidChoice(f"not a graph expression: {e!r}")
+        trail.append((e, side))
+        e = e.left if side == "L" else e.right
+    if not isinstance(e, Node):
+        if isinstance(e, (Seq, Par)):
+            raise InvalidChoice("path stops before reaching an operator node")
+        raise InvalidChoice(f"not a graph expression: {e!r}")
+    found = choice.found
+    if found is not None and found[0] is e and found[1] == exhaustive:
+        r = found[2]
+    else:
         outcomes = e.op.steps(e.buffers, e.state, exhaustive)
-        if index >= len(outcomes):
-            raise InvalidChoice(f"{e.op.name}: choice {index} of {len(outcomes)}")
-        r = outcomes[index]
-        return Node(r.buffers, e.op, r.state), r.deltas, ("operator",)
-    if not path:
-        raise InvalidChoice("path stops before reaching an operator node")
-    side, rest = path[0], path[1:]
-    if isinstance(e, Seq):
-        if side == "L":
-            left, emitted, rules = _apply(e.left, rest, index, exhaustive)
-            fed = tuple(concat(b, d) for b, d in zip(inputs(e.right), emitted))
-            right = set_inputs(e.right, fed)
-            return Seq(left, right), (EMPTY,) * out_arity(e.right), ("sequence-left",) + rules
-        right, emitted, rules = _apply(e.right, rest, index, exhaustive)
-        return Seq(e.left, right), emitted, ("sequence-right",) + rules
-    if isinstance(e, Par):
-        if side == "L":
-            left, emitted, rules = _apply(e.left, rest, index, exhaustive)
-            return (
-                Par(left, e.right),
-                emitted + (EMPTY,) * out_arity(e.right),
-                ("par-left",) + rules,
-            )
-        right, emitted, rules = _apply(e.right, rest, index, exhaustive)
-        return (
-            Par(e.left, right),
-            (EMPTY,) * out_arity(e.left) + emitted,
-            ("par-right",) + rules,
-        )
-    raise InvalidChoice(f"not a graph expression: {e!r}")
+        if choice.index >= len(outcomes):
+            raise InvalidChoice(f"{e.op.name}: choice {choice.index} of {len(outcomes)}")
+        r = outcomes[choice.index]
+    g, deltas, rules = Node(r.buffers, e.op, r.state), r.deltas, ("operator",)
+    for parent, side in reversed(trail):
+        if isinstance(parent, Seq):
+            if side == "L":
+                fed = tuple(concat(b, d) for b, d in zip(inputs(parent.right), deltas))
+                right = set_inputs(parent.right, fed)
+                g, deltas = Seq(g, right), (EMPTY,) * out_arity(right)
+                rules = ("sequence-left",) + rules
+            else:
+                g, rules = Seq(parent.left, g), ("sequence-right",) + rules
+        elif side == "L":
+            g, deltas = Par(g, parent.right), deltas + (EMPTY,) * out_arity(parent.right)
+            rules = ("par-left",) + rules
+        else:
+            g, deltas = Par(parent.left, g), (EMPTY,) * out_arity(parent.left) + deltas
+            rules = ("par-right",) + rules
+    return g, deltas, rules
 
 
 def step_graph(e, choice: StepChoice, exhaustive: bool = False):
     """Apply one chosen step; returns (graph', output deltas, rule chain)."""
-    return _apply(e, choice.path, choice.index, exhaustive)
+    return _apply(e, choice, exhaustive)
 
 
 def step_first(e):
@@ -325,59 +393,56 @@ def step_first(e):
     Returns (graph', deltas, rules, choice) or None when stuck. Sound for
     any confluent graph; the explorer covers the remaining schedules.
     """
-    if isinstance(e, Node):
-        outcomes = e.op.steps(e.buffers, e.state, False)
-        if not outcomes:
-            return None
-        r = outcomes[0]
-        return Node(r.buffers, e.op, r.state), r.deltas, ("operator",), StepChoice((), 0)
-    if isinstance(e, Seq):
-        hit = step_first(e.left)
-        if hit is not None:
-            left, emitted, rules, ch = hit
-            fed = tuple(concat(b, d) for b, d in zip(inputs(e.right), emitted))
-            right = set_inputs(e.right, fed)
-            return (
-                Seq(left, right),
-                (EMPTY,) * out_arity(e.right),
-                ("sequence-left",) + rules,
-                StepChoice(("L",) + ch.path, ch.index),
-            )
-        hit = step_first(e.right)
-        if hit is not None:
-            right, emitted, rules, ch = hit
-            return (
-                Seq(e.left, right),
-                emitted,
-                ("sequence-right",) + rules,
-                StepChoice(("R",) + ch.path, ch.index),
-            )
+    found: list = []
+    _enabled(e, (), False, True, found)
+    if not found:
         return None
-    if isinstance(e, Par):
-        hit = step_first(e.left)
-        if hit is not None:
-            left, emitted, rules, ch = hit
-            return (
-                Par(left, e.right),
-                emitted + (EMPTY,) * out_arity(e.right),
-                ("par-left",) + rules,
-                StepChoice(("L",) + ch.path, ch.index),
-            )
-        hit = step_first(e.right)
-        if hit is not None:
-            right, emitted, rules, ch = hit
-            return (
-                Par(e.left, right),
-                (EMPTY,) * out_arity(e.left) + emitted,
-                ("par-right",) + rules,
-                StepChoice(("R",) + ch.path, ch.index),
-            )
-        return None
-    raise InvalidChoice(f"not a graph expression: {e!r}")
+    choice = found[0]
+    return _apply(e, choice, False) + (choice,)
 
 
 def apply_outputs(outputs: tuple, deltas: tuple) -> tuple:
     return tuple(concat(o, d) for o, d in zip(outputs, deltas))
+
+
+def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
+    """The run loop: yield (graph', deltas, rules, choice) for each step.
+
+    ``picker(choices, step_index)`` selects among the enabled steps, or
+    returns None to stop; without a picker the first enabled step in tree
+    order is taken. The loop ends at a stuck graph or after ``cap`` steps,
+    without looking for a further step.
+    """
+    steps = 0
+    while cap is None or steps < cap:
+        if picker is None:
+            hit = step_first(e)
+            if hit is None:
+                return
+        else:
+            choices = enabled_steps(e)
+            choice = picker(choices, steps) if choices else None
+            choices = None  # drop the outcomes not chosen before the next step
+            if choice is None:
+                return
+            hit = step_graph(e, choice) + (choice,)
+        e = hit[0]
+        yield hit
+        steps += 1
+
+
+def run_steps(e, outputs: tuple, picker=None, cap=None, log=None, iteration=None):
+    """Follow ``trajectory``, folding emissions into the outputs and logging
+    every step; returns (graph, outputs, steps taken)."""
+    steps = 0
+    for e, deltas, rules, choice in trajectory(e, picker, cap):
+        outputs = apply_outputs(outputs, deltas)
+        if log is not None:
+            entry = {} if iteration is None else {"iter": iteration}
+            entry.update(path="".join(choice.path), choice=choice.index, rules=list(rules))
+            log.append(entry)
+        steps += 1
+    return e, outputs, steps
 
 
 def run_to_stuck(
@@ -391,28 +456,14 @@ def run_to_stuck(
 
     ``picker(choices, step_index)`` selects among enabled steps; None uses
     the first enabled step in tree order. The budget is a fixed cap on
-    work: a large valid input can exceed it, and StepBudgetExceeded then
-    reports the cap, the steps taken and the graph's current rank.
+    work: a run still going after ``budget + 1`` steps raises
+    StepBudgetExceeded, which reports the cap, the steps taken and the
+    graph's current rank.
     """
-    steps = 0
-    while True:
-        if steps > budget:
-            raise StepBudgetExceeded(budget_message(budget, steps, e))
-        if picker is None:
-            hit = step_first(e)
-            if hit is None:
-                return e, outputs, steps
-            e, deltas, rules, choice = hit
-        else:
-            choices = enabled_steps(e)
-            if not choices:
-                return e, outputs, steps
-            choice = picker(choices, steps)
-            e, deltas, rules = step_graph(e, choice)
-        outputs = apply_outputs(outputs, deltas)
-        if log is not None:
-            log.append({"path": "".join(choice.path), "choice": choice.index, "rules": list(rules)})
-        steps += 1
+    e, outputs, steps = run_steps(e, outputs, picker, budget + 1, log)
+    if steps > budget:
+        raise StepBudgetExceeded(budget_message(budget, steps, e))
+    return e, outputs, steps
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +516,7 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
                 capped = True
                 continue
             seen.add(nxt)
-            parents[nxt] = (cfg, ch)
+            parents[nxt] = (cfg, StepChoice(ch.path, ch.index))
             queue.append(nxt)
     return ExploreResult(stuck=stuck, visited=len(seen), capped=capped, parents=parents)
 
@@ -484,22 +535,22 @@ def graph_rank(e) -> Rank:
     padded with zeros; a longer one raises RankViolation.
     """
     comps: list = []
-
-    def walk(g):
-        if isinstance(g, Node):
-            r = g.op.rank(g.buffers, g.state).components
-            arity = g.op.rank_arity
-            if len(r) > arity:
-                raise RankViolation(
-                    f"{g.op.name}: rank has {len(r)} components, rank_arity is {arity}"
-                )
-            comps.extend(r + (0,) * (arity - len(r)))
-        else:
-            walk(g.left)
-            walk(g.right)
-
-    walk(e)
+    _rank_into(e, comps)
     return Rank(tuple(comps))
+
+
+def _rank_into(g, comps: list):
+    if isinstance(g, Node):
+        r = g.op.rank(g.buffers, g.state).components
+        arity = g.op.rank_arity
+        if len(r) > arity:
+            raise RankViolation(
+                f"{g.op.name}: rank has {len(r)} components, rank_arity is {arity}"
+            )
+        comps.extend(r + (0,) * (arity - len(r)))
+    else:
+        _rank_into(g.left, comps)
+        _rank_into(g.right, comps)
 
 
 def budget_message(budget: int, steps: int, e) -> str:

@@ -25,7 +25,9 @@ from typing import Optional
 from .core import (
     B,
     OperatorDef,
+    StepBudgetExceeded,
     bottom,
+    concat,
     fix,
     is_fixed,
     member,
@@ -33,15 +35,17 @@ from .core import (
 from .graph import (
     Node,
     apply_outputs,
+    budget_message,
     enabled_steps,
     explore_all,
     graph_rank,
     inputs,
     out_types,
+    run_steps,
     run_to_stuck,
     set_inputs,
-    step_first,
     step_graph,
+    trajectory,
     typecheck,
 )
 from .scheduler import RandomSched, RunResult, make_picker, run_trace
@@ -84,19 +88,7 @@ def _as_graph(subject, case: OpCase):
     return g, outs
 
 
-def _advance(g, outs, n: int):
-    for _ in range(n):
-        hit = step_first(g)
-        if hit is None:
-            break
-        g, deltas, _rules, _ch = hit
-        outs = apply_outputs(outs, deltas)
-    return g, outs
-
-
 def _feed(g, deltas):
-    from .core import concat
-
     fed = tuple(concat(b, d) for b, d in zip(inputs(g), deltas))
     return set_inputs(g, fed)
 
@@ -111,7 +103,7 @@ def check_eager(subject, cases, budget: int = 4000) -> PropertyReport:
     for case in cases:
         n += 1
         g0, outs0 = _as_graph(subject, case)
-        g0, outs0 = _advance(g0, outs0, case.presteps)
+        g0, outs0, _ = run_steps(g0, outs0, cap=case.presteps)
         target_g, target_o, _ = run_to_stuck(_feed(g0, case.delta), outs0, budget=budget)
         failed = None
         for choice in enabled_steps(g0):
@@ -174,27 +166,29 @@ def check_progress(subject, cases, budget: int = 4000) -> PropertyReport:
 
 
 def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 0) -> PropertyReport:
-    """Strict rank decrease plus type stability along sampled traces."""
+    """Strict rank decrease plus type stability along sampled traces.
+
+    Each case runs under a seeded random schedule; a run still going after
+    ``budget + 1`` steps raises StepBudgetExceeded, as ``run_to_stuck``
+    does, since a fixed cap says nothing about the rank.
+    """
     is_op = isinstance(subject, OperatorDef)
     outs_types = subject.outputs if is_op else out_types(subject)
     rng = random.Random(seed)
+
+    def pick(choices, _step):
+        return choices[rng.randrange(len(choices))]
+
     n = 0
     for case in cases:
         n += 1
         g, outs = _as_graph(subject, case)
         base_type = None if is_op else typecheck(g)
+        before = None  # the rank of g, carried over from the previous step
         steps = 0
-        while True:
-            if steps > budget:
-                return PropertyReport(
-                    "RankDescent", "Fail", n, {"case": case}, {"reason": "budget exceeded"}
-                )
-            choices = enabled_steps(g)
-            if not choices:
-                break
-            choice = choices[rng.randrange(len(choices))]
-            before = graph_rank(g)
-            g2, deltas, _ = step_graph(g, choice)
+        for g2, deltas, _rules, choice in trajectory(g, pick, budget + 1):
+            if before is None:
+                before = graph_rank(g)
             after = graph_rank(g2)
             if not after < before:
                 return PropertyReport(
@@ -229,8 +223,10 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
                             {"case": case, "choice": choice, "buffer": buf},
                             {"reason": "input buffer left its collection type"},
                         )
-            g = g2
+            g, before = g2, after
             steps += 1
+        if steps > budget:
+            raise StepBudgetExceeded(budget_message(budget, steps, g))
     return PropertyReport("RankDescent", "Pass", n)
 
 
@@ -246,11 +242,13 @@ def check_determinism(
     samples: int = 20,
     seed: int = 0,
     outputs: Optional[tuple] = None,
+    budget: int = 10_000,
 ) -> PropertyReport:
     """All schedules from one configuration reach one stuck configuration.
 
     ``mode`` is "exhaustive", "sampled", or an Exhaustive schedule value
-    carrying its own configuration cap.
+    carrying its own configuration cap. Each sampled run is capped by
+    ``budget`` steps and raises StepBudgetExceeded beyond it.
     """
     from .scheduler import Exhaustive
 
@@ -286,14 +284,7 @@ def check_determinism(
     stucks = {}
     for i in range(samples):
         picker = make_picker(RandomSched(rng.randrange(1 << 30)))
-        cur_g, cur_o = g, outs
-        while True:
-            choices = enabled_steps(cur_g)
-            if not choices:
-                break
-            ch = picker.pick(choices)
-            cur_g, deltas, _ = step_graph(cur_g, ch)
-            cur_o = apply_outputs(cur_o, deltas)
+        cur_g, cur_o, _ = run_to_stuck(g, outs, picker, budget)
         stucks.setdefault((cur_g, cur_o), i)
     details["sampled"] = samples
     if len(stucks) == 1:

@@ -52,8 +52,6 @@ from .core import (
 from .graph import (
     DeferContexts,
     Node,
-    Par,
-    Seq,
     enabled_steps,
     graph_rank,
     inputs,
@@ -273,9 +271,10 @@ def set_defer(e, values: dict):
                 raise MissingKey(f"no deferred value for read_defer key {key!r}")
             return Node(e.buffers, e.op, ReadDeferState(values[key]))
         return e
-    if isinstance(e, Seq):
-        return Seq(set_defer(e.left, values), set_defer(e.right, values))
-    return Par(set_defer(e.left, values), set_defer(e.right, values))
+    left, right = set_defer(e.left, values), set_defer(e.right, values)
+    if left is e.left and right is e.right:
+        return e  # untouched subtrees keep their stuckness memo
+    return type(e)(left, right)
 
 
 def _collect_declared(e, reads: dict, writes: dict):
@@ -359,8 +358,9 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
             return []
         if not v.tuples:
             return []
-        oldest = v.tuples[-1]
-        synced = set_inputs(state.current, oldest)
+        # Returns state.current itself while it still holds the oldest tuple,
+        # which run_graph below keeps true, so its stuckness memo carries over.
+        synced = set_inputs(state.current, v.tuples[-1])
 
         def run_graph(stepped, deltas):
             consumed = inputs(stepped)
@@ -372,15 +372,12 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
             )
 
         if exhaustive:
-            results = [
-                run_graph(*step_graph(synced, ch, True)[:2])
-                for ch in enabled_steps(synced, True)
-            ]
+            stepped = [step_graph(synced, ch, True) for ch in enabled_steps(synced, True)]
         else:
             hit = step_first(synced)
-            results = [] if hit is None else [run_graph(hit[0], hit[1])]
-        if results:
-            return results
+            stepped = [] if hit is None else [hit]
+        if stepped:
+            return [run_graph(g2, deltas) for g2, deltas, *_ in stepped]
 
         # inner graph stuck on this tuple
         if not all(is_fixed(o) for o in state.iter_outputs):

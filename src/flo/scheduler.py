@@ -28,15 +28,7 @@ from .core import (
     concat,
     language_of,
 )
-from .graph import (
-    apply_outputs,
-    budget_message,
-    enabled_steps,
-    inputs,
-    set_inputs,
-    step_graph,
-    typecheck,
-)
+from .graph import budget_message, inputs, run_steps, set_inputs, typecheck
 
 
 SAFETY_CAP = 200_000
@@ -66,11 +58,15 @@ class Exhaustive:
     max_configs: int = 100_000
 
 
+# Pickers are called as ``picker(choices, step_index)``, the protocol of
+# ``graph.trajectory``; they keep their own position across iterations.
+
+
 class _RoundRobinPicker:
     def __init__(self):
         self.counter = 0
 
-    def pick(self, choices):
+    def __call__(self, choices, _step):
         c = choices[self.counter % len(choices)]
         self.counter += 1
         return c
@@ -80,7 +76,7 @@ class _RandomPicker:
     def __init__(self, seed):
         self.rng = random.Random(seed)
 
-    def pick(self, choices):
+    def __call__(self, choices, _step):
         return choices[self.rng.randrange(len(choices))]
 
 
@@ -89,14 +85,14 @@ class _ScriptedPicker:
         self.script = list(script)
         self.pos = 0
 
-    def pick(self, choices):
+    def __call__(self, choices, _step):
         if self.pos >= len(self.script):
             return None
         c = self.script[self.pos]
         if c not in choices:
             raise InvalidChoice(f"scripted choice {c} is not enabled")
         self.pos += 1
-        return c
+        return choices[choices.index(c)]  # the listed choice carries its outcome
 
 
 def make_picker(sched):
@@ -139,7 +135,7 @@ def drain_value(value, policy, rng: Optional[random.Random]):
     if isinstance(policy, DrainNone):
         return None, value
     if isinstance(policy, DrainAll):
-        if getattr(lang, "whole_drain_requires_fixed", False) and not lang.is_fixed(value):
+        if lang.whole_drain_requires_fixed and not lang.is_fixed(value):
             return None, value
         return lang.split_all(value)
     if isinstance(policy, DrainPrefix):
@@ -152,11 +148,7 @@ def drain_value(value, policy, rng: Optional[random.Random]):
 
 
 def recombine(total, piece):
-    lang = language_of(total)
-    custom = getattr(lang, "recombine", None)
-    if custom is not None:
-        return custom(total, piece)
-    return concat(total, lang.value_delta(piece))
+    return language_of(total).recombine(total, piece)
 
 
 # ---------------------------------------------------------------------------
@@ -190,29 +182,12 @@ class RunResult:
 
 
 def _run_steps(graph, outputs, picker, budget, log, iteration):
-    steps = 0
+    """Take up to ``budget`` steps; with no budget, running into the
+    safety cap is an error."""
     cap = SAFETY_CAP if budget is None else budget
-    while steps < cap:
-        choices = enabled_steps(graph)
-        if not choices:
-            return graph, outputs, steps
-        choice = picker.pick(choices)
-        if choice is None:
-            return graph, outputs, steps
-        graph, deltas, rules = step_graph(graph, choice)
-        outputs = apply_outputs(outputs, deltas)
-        if log is not None:
-            log.append(
-                {
-                    "iter": iteration,
-                    "path": "".join(choice.path),
-                    "choice": choice.index,
-                    "rules": list(rules),
-                }
-            )
-        steps += 1
-    if budget is None:
-        raise StepBudgetExceeded(budget_message(SAFETY_CAP, steps, graph))
+    graph, outputs, steps = run_steps(graph, outputs, picker, cap, log, iteration)
+    if budget is None and steps == cap:
+        raise StepBudgetExceeded(budget_message(cap, steps, graph))
     return graph, outputs, steps
 
 

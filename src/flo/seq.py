@@ -73,8 +73,7 @@ class SeqLanguage(CollectionLanguage):
     def member(self, value, tag):
         if not isinstance(value, SeqValue):
             return False
-        elem = tag.params[0]
-        return all(elem.matches(i) for i in value.items)
+        return all(map(tag.params[0].check, value.items))
 
     def concat(self, value, delta):
         if delta is TERMINATOR:

@@ -65,8 +65,7 @@ class SetLanguage(CollectionLanguage):
     def member(self, value, tag):
         if not isinstance(value, SetValue):
             return False
-        elem = tag.params[0]
-        return all(elem.matches(e) for e in value.elems)
+        return all(map(tag.params[0].check, value.elems))
 
     def concat(self, value, delta):
         if delta is TERMINATOR:

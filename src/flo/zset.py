@@ -82,8 +82,8 @@ class ZSetLanguage(CollectionLanguage):
     def member(self, value, tag):
         if not isinstance(value, ZSetValue):
             return False
-        key_type = tag.params[0]
-        return all(key_type.matches(k) and v != 0 for k, v in value.cards)
+        check = tag.params[0].check
+        return all(check(k) and v != 0 for k, v in value.cards)
 
     def concat(self, value, delta):
         if delta is TERMINATOR:
