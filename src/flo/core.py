@@ -389,6 +389,22 @@ class CollectionLanguage:
     def content_size(self, value) -> int:
         raise NotImplementedError
 
+    # ``last``: the final value of a bounded stream, released once the input
+    # fixes. ``last_output(tag)`` is the output's collection tag, or None if
+    # the language has no last value. ``last_observe(latest, value)`` folds
+    # the buffer's observable content into what was kept so far (NOTHING
+    # before anything was seen) and returns (latest, residue), or None when
+    # there is nothing to observe yet. ``last_emit(latest, tag)`` is the one
+    # fixed delta released at the end.
+    def last_output(self, tag: Tag):
+        return None
+
+    def last_observe(self, latest, value):
+        return None
+
+    def last_emit(self, latest, tag: Tag):
+        raise NotImplementedError
+
     # Drain support for the event loop: split a pending output into a
     # drained part and a remainder such that re-applying value_delta of
     # the drained parts in drain order rebuilds the original stream.
@@ -410,6 +426,16 @@ class CollectionLanguage:
 
     def bottom_like(self, value):
         raise NotImplementedError
+
+
+class _Nothing:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "<nothing>"
+
+
+NOTHING = _Nothing()  # what ``last`` holds before it has seen a value
 
 
 LANGUAGES: dict[str, CollectionLanguage] = {}

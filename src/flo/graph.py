@@ -10,11 +10,17 @@ exploration of schedules safe.
 Step rules carry their names (sequence-left, sequence-right, par-left,
 par-right, operator) so event logs can be replayed and audited.
 
-All stepping goes through one engine: ``_enabled`` lists the enabled steps
-together with the operator outcome each would apply, ``_apply`` rebuilds
-the tree around a listed outcome without evaluating the operator again,
-and ``trajectory`` is the one run loop built on them. A subtree found to
-have no enabled step remembers it (see ``Node``), so later walks skip it.
+Trees are the syntax; stepping runs on a compiled form. The rules only
+move deltas between exterior buffers that the tree fixes, so
+``compile_graph`` computes that wiring once (a ``Plan``) and a
+``FlatGraph`` holds one ``Node`` per leaf. A step replaces one node and
+concats each emitted delta straight into its destination; no composite
+is rebuilt. ``enabled_steps`` lists the enabled steps together with the
+outcome each would apply, ``step_graph`` and ``step_first`` apply one, and
+``trajectory`` is the one run loop built on them. A node's listed
+outcomes are kept until the node object is replaced, and a node found to
+have no enabled step remembers it (see ``Node``). A tree is rebuilt only
+when a caller asks for one.
 """
 
 from __future__ import annotations
@@ -243,10 +249,186 @@ def typecheck(e, ctx: Optional[DeferContexts] = None) -> GraphType:
 
 
 # ---------------------------------------------------------------------------
+# the compiled form
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Plan:
+    """The static wiring of one composition tree, computed once.
+
+    Leaves are numbered in tree order. The composition rules only move
+    deltas between exterior buffers that the tree fixes, so every output
+    port of every leaf has one destination: a (leaf, buffer) pair, or
+    ``(-1, port)`` for a graph output.
+    """
+
+    shape: object  # leaf index, or ("S" | "P", left shape, right shape)
+    paths: tuple  # per leaf: its path, a tuple of "L"/"R"
+    rules: tuple  # per leaf: the rule chain of a step there, outermost first
+    wires: tuple  # per leaf, per output port: (leaf, buffer) or (-1, port)
+    in_leaves: tuple  # (leaf, lo, hi): that leaf's buffers are exterior inputs lo:hi
+    n_in: int  # number of exterior inputs
+    blank: tuple  # one EMPTY per graph output
+    direct: tuple  # per leaf: its output ports are the graph outputs, in order
+    index: dict  # path -> leaf
+    reads: tuple  # (read_defer key, leaf) in tree order
+    writes: tuple  # (write_defer key, leaf) in tree order
+
+
+_RULES = {
+    (Seq, "L"): "sequence-left",
+    (Seq, "R"): "sequence-right",
+    (Par, "L"): "par-left",
+    (Par, "R"): "par-right",
+}
+
+
+def _plan(e) -> tuple:
+    """(Plan, leaves) of a tree."""
+    leaves, paths, rules, wires = [], [], [], []
+
+    def walk(g, path, chain):
+        # Returns the subtree's shape, its exterior inputs as (leaf, buffer)
+        # pairs and its exterior outputs as (leaf, port) pairs, and wires
+        # each sequence's left outputs to its right inputs.
+        if isinstance(g, Node):
+            i = len(leaves)
+            leaves.append(g)
+            paths.append(path)
+            rules.append(chain + ("operator",))
+            wires.append([None] * len(g.op.outputs))
+            return i, [(i, b) for b in range(len(g.buffers))], [(i, p) for p in range(len(g.op.outputs))]
+        kind = type(g)
+        if kind is not Seq and kind is not Par:
+            raise InvalidChoice(f"not a graph expression: {g!r}")
+        ls, l_in, l_out = walk(g.left, path + ("L",), chain + (_RULES[kind, "L"],))
+        rs, r_in, r_out = walk(g.right, path + ("R",), chain + (_RULES[kind, "R"],))
+        if kind is Par:
+            return ("P", ls, rs), l_in + r_in, l_out + r_out
+        if len(l_out) != len(r_in):
+            raise ArityMismatch(f"{len(l_out)} outputs feed {len(r_in)} inputs")
+        for (i, p), dest in zip(l_out, r_in):
+            wires[i][p] = dest
+        return ("S", ls, rs), l_in, r_out
+
+    shape, ins, outs = walk(e, (), ())
+    for port, (i, p) in enumerate(outs):
+        wires[i][p] = (-1, port)
+    plan = Plan(
+        shape=shape,
+        paths=tuple(paths),
+        rules=tuple(rules),
+        wires=tuple(tuple(w) for w in wires),
+        in_leaves=_in_leaves(ins),
+        n_in=len(ins),
+        blank=(EMPTY,) * len(outs),
+        direct=tuple(list(w) == [(-1, p) for p in range(len(outs))] for w in wires),
+        index={p: i for i, p in enumerate(paths)},
+        reads=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_reads),
+        writes=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_writes),
+    )
+    return plan, tuple(leaves)
+
+
+def _in_leaves(ins: list) -> tuple:
+    # A leaf's buffers are either all exterior inputs or all fed from inside,
+    # depending only on where the leaf sits, so the exterior inputs split
+    # into runs of whole buffer tuples, one per leaf.
+    runs: list = []
+    for k, (i, _b) in enumerate(ins):
+        if runs and runs[-1][0] == i:
+            runs[-1][2] = k + 1
+        else:
+            runs.append([i, k, k + 1])
+    return tuple(map(tuple, runs))
+
+
+class FlatGraph:
+    """A compiled graph: its plan and one ``Node`` per leaf, in tree order.
+
+    It compares, hashes and prints as the tree it stands for. Two caches
+    ride along outside equality: ``_listed`` holds, per leaf, the enabled
+    choices listed with their outcomes in step mode ``_mode`` (valid until
+    that node object is replaced), and ``_base`` is the last tree known for
+    this shape, whose untouched subtrees ``tree()`` hands back as
+    themselves.
+    """
+
+    __slots__ = ("plan", "nodes", "_listed", "_mode", "_base")
+
+    def __init__(self, plan: Plan, nodes: tuple, base, listed=None, mode=False):
+        self.plan = plan
+        self.nodes = nodes
+        self._base = base
+        self._listed = [None] * len(nodes) if listed is None else listed
+        self._mode = mode
+
+    def __eq__(self, other):
+        if not isinstance(other, FlatGraph):
+            return NotImplemented
+        return self.nodes == other.nodes and (
+            self.plan is other.plan or self.plan.shape == other.plan.shape
+        )
+
+    def __hash__(self):
+        return hash(self.nodes)
+
+    def __repr__(self):
+        return repr(self.tree())
+
+    def tree(self):
+        """The tree this stands for; subtrees whose leaves did not change
+        come back as the same objects, with their stuckness memo."""
+        leaves = iter(self.nodes)
+
+        def build(g):
+            if isinstance(g, Node):
+                return next(leaves)
+            left, right = build(g.left), build(g.right)
+            if left is g.left and right is g.right:
+                return g
+            fresh = type(g)(left, right)
+            object.__setattr__(fresh, "_stuck", left._stuck & right._stuck)
+            return fresh
+
+        self._base = build(self._base)
+        return self._base
+
+    def derive(self, nodes: list, changed):
+        """A copy holding ``nodes``, where only the leaves in ``changed`` hold
+        new node objects; every other leaf keeps its listed choices."""
+        listed = self._listed
+        if listed is None:
+            return FlatGraph(self.plan, tuple(nodes), self._base)
+        listed = listed.copy()
+        for i in changed:
+            listed[i] = None
+        return FlatGraph(self.plan, tuple(nodes), self._base, listed, self._mode)
+
+
+def compile_graph(e) -> FlatGraph:
+    """The compiled form of a tree; a compiled graph is returned as is."""
+    if isinstance(e, FlatGraph):
+        return e
+    plan, leaves = _plan(e)
+    return FlatGraph(plan, leaves, e)
+
+
+def as_tree(e):
+    """The tree form of a tree or a compiled graph."""
+    return e.tree() if isinstance(e, FlatGraph) else e
+
+
+# ---------------------------------------------------------------------------
 # exterior inputs
 
 
 def inputs(e) -> tuple:
+    if isinstance(e, FlatGraph):
+        ins = ()
+        for i, _lo, _hi in e.plan.in_leaves:
+            ins += e.nodes[i].buffers
+        return ins
     if isinstance(e, Node):
         return e.buffers
     if isinstance(e, Seq):
@@ -255,8 +437,22 @@ def inputs(e) -> tuple:
 
 
 def set_inputs(e, new: tuple):
-    """Replace the exterior buffers; a subtree whose buffers are all the
-    same objects comes back as itself, so its stuckness memo survives."""
+    """Replace the exterior buffers. Nothing is rebuilt for a buffer that is
+    the same object as before, so untouched nodes (and, on a tree,
+    untouched subtrees) come back as themselves with their memo."""
+    if isinstance(e, FlatGraph):
+        if len(new) != e.plan.n_in:
+            raise ArityMismatch(f"{len(new)} values for {e.plan.n_in} inputs")
+        nodes = changed = None
+        for i, lo, hi in e.plan.in_leaves:
+            n = e.nodes[i]
+            bufs = tuple(new[lo:hi])
+            if not all(map(is_, bufs, n.buffers)):
+                if nodes is None:
+                    nodes, changed = list(e.nodes), []
+                nodes[i] = Node(bufs, n.op, n.state)
+                changed.append(i)
+        return e if nodes is None else e.derive(nodes, changed)
     if isinstance(e, Node):
         old = e.buffers
         if len(new) != len(old):
@@ -292,36 +488,63 @@ class StepChoice:
         return f"{''.join(self.path) or '.'}#{self.index}"
 
 
-def _enabled(e, path, exhaustive, first, out):
-    """Append to ``out`` a StepChoice for every step enabled under ``e``.
+def _table(g: FlatGraph, exhaustive: bool) -> list:
+    """Per leaf, the enabled choices listed so far in this mode (None: not yet)."""
+    table = g._listed
+    if table is None or g._mode != exhaustive:
+        table = g._listed = [None] * len(g.nodes)
+        g._mode = exhaustive
+    return table
 
-    With ``first`` set, stop after the first one in tree order. A subtree
-    found to have none is marked stuck for this mode; marked subtrees are
-    skipped without evaluating their operators.
-    """
+
+def _list(g: FlatGraph, table: list, i: int, exhaustive: bool):
+    """Evaluate leaf ``i`` and list its enabled choices, each carrying its
+    outcome. A node found to have none is marked stuck for this mode."""
+    n = g.nodes[i]
     bit = _STUCK_BIT[exhaustive]
-    if isinstance(e, Node):
-        if e._stuck & bit:
-            return
-        outcomes = e.op.steps(e.buffers, e.state, exhaustive)
-        if not outcomes:
-            object.__setattr__(e, "_stuck", e._stuck | bit)
-        elif first:
-            out.append(StepChoice(path, 0, (e, exhaustive, outcomes[0])))
+    listed = ()
+    if not n._stuck & bit:
+        outcomes = n.op.steps(n.buffers, n.state, exhaustive)
+        if outcomes:
+            path, listed = g.plan.paths[i], []
+            for k, r in enumerate(outcomes):
+                listed.append(StepChoice(path, k, (n, exhaustive, r)))
         else:
-            for i, r in enumerate(outcomes):
-                out.append(StepChoice(path, i, (e, exhaustive, r)))
-        return
-    if not isinstance(e, (Seq, Par)):
-        raise InvalidChoice(f"not a graph expression: {e!r}")
-    if e._stuck & bit:
-        return
-    before = len(out)
-    _enabled(e.left, path + ("L",), exhaustive, first, out)
-    if not (first and len(out) > before):
-        _enabled(e.right, path + ("R",), exhaustive, first, out)
-    if len(out) == before:
-        object.__setattr__(e, "_stuck", e._stuck | bit)
+            object.__setattr__(n, "_stuck", n._stuck | bit)
+    table[i] = listed
+    return listed
+
+
+def _advance(g: FlatGraph, i: int, r):
+    """Replace leaf ``i`` by outcome ``r`` and concat each non-EMPTY delta
+    straight into its destination; returns (graph', output deltas). Every
+    other leaf keeps its node and its listed choices."""
+    plan, nodes, listed = g.plan, list(g.nodes), g._listed
+    nodes[i] = Node(r.buffers, nodes[i].op, r.state)
+    if listed is not None:
+        listed = listed.copy()
+        listed[i] = None
+    if plan.direct[i]:
+        deltas = r.deltas
+    else:
+        outs = None
+        for d, (j, b) in zip(r.deltas, plan.wires[i]):
+            if d is EMPTY:
+                continue
+            if j < 0:
+                if outs is None:
+                    outs = list(plan.blank)
+                outs[b] = d
+                continue
+            dest = nodes[j]
+            buf = dest.buffers[b]
+            fed = concat(buf, d)
+            if fed is not buf:  # a fixed buffer absorbs the delta and stays as it is
+                nodes[j] = Node(dest.buffers[:b] + (fed,) + dest.buffers[b + 1:], dest.op, dest.state)
+                if listed is not None:
+                    listed[j] = None
+        deltas = plan.blank if outs is None else tuple(outs)
+    return FlatGraph(plan, tuple(nodes), g._base, listed, g._mode), deltas
 
 
 def enabled_steps(e, exhaustive: bool = False) -> list:
@@ -330,61 +553,32 @@ def enabled_steps(e, exhaustive: bool = False) -> list:
     Each choice carries the outcome it would apply, so ``step_graph`` on
     the same graph does not evaluate the operator a second time.
     """
+    g = e if isinstance(e, FlatGraph) else compile_graph(e)
+    table = _table(g, exhaustive)
     out: list = []
-    _enabled(e, (), exhaustive, False, out)
+    for i, listed in enumerate(table):
+        out += _list(g, table, i, exhaustive) if listed is None else listed
     return out
 
 
-def _apply(e, choice, exhaustive):
-    """Apply ``choice`` to ``e``; returns (graph', deltas, rule chain).
-
-    Walks down the choice's path, steps the operator at its end (reusing
-    the outcome the choice was listed with), then rebuilds each composite
-    on the way back up, feeding a sequence's right side what its left
-    side emitted.
-    """
-    trail = []  # (composite, side) along the path, outermost first
-    for side in choice.path:
-        if isinstance(e, Node):
-            raise InvalidChoice("path descends past an operator node")
-        if not isinstance(e, (Seq, Par)):
-            raise InvalidChoice(f"not a graph expression: {e!r}")
-        trail.append((e, side))
-        e = e.left if side == "L" else e.right
-    if not isinstance(e, Node):
-        if isinstance(e, (Seq, Par)):
-            raise InvalidChoice("path stops before reaching an operator node")
-        raise InvalidChoice(f"not a graph expression: {e!r}")
-    found = choice.found
-    if found is not None and found[0] is e and found[1] == exhaustive:
-        r = found[2]
-    else:
-        outcomes = e.op.steps(e.buffers, e.state, exhaustive)
-        if choice.index >= len(outcomes):
-            raise InvalidChoice(f"{e.op.name}: choice {choice.index} of {len(outcomes)}")
-        r = outcomes[choice.index]
-    g, deltas, rules = Node(r.buffers, e.op, r.state), r.deltas, ("operator",)
-    for parent, side in reversed(trail):
-        if isinstance(parent, Seq):
-            if side == "L":
-                fed = tuple(concat(b, d) for b, d in zip(inputs(parent.right), deltas))
-                right = set_inputs(parent.right, fed)
-                g, deltas = Seq(g, right), (EMPTY,) * out_arity(right)
-                rules = ("sequence-left",) + rules
-            else:
-                g, rules = Seq(parent.left, g), ("sequence-right",) + rules
-        elif side == "L":
-            g, deltas = Par(g, parent.right), deltas + (EMPTY,) * out_arity(parent.right)
-            rules = ("par-left",) + rules
-        else:
-            g, deltas = Par(parent.left, g), (EMPTY,) * out_arity(parent.left) + deltas
-            rules = ("par-right",) + rules
-    return g, deltas, rules
-
-
 def step_graph(e, choice: StepChoice, exhaustive: bool = False):
-    """Apply one chosen step; returns (graph', output deltas, rule chain)."""
-    return _apply(e, choice, exhaustive)
+    """Apply one chosen step; returns (graph', output deltas, rule chain),
+    with graph' in the form ``e`` was given in."""
+    g = e if isinstance(e, FlatGraph) else compile_graph(e)
+    i = g.plan.index.get(choice.path)
+    if i is None:
+        raise InvalidChoice(f"path {''.join(choice.path) or '.'} does not end at an operator node")
+    found = choice.found
+    if found is None or found[0] is not g.nodes[i] or found[1] != exhaustive:
+        table = _table(g, exhaustive)
+        listed = table[i]
+        if listed is None:
+            listed = _list(g, table, i, exhaustive)
+        if choice.index >= len(listed):
+            raise InvalidChoice(f"{g.nodes[i].op.name}: choice {choice.index} of {len(listed)}")
+        found = listed[choice.index].found
+    g2, deltas = _advance(g, i, found[2])
+    return (g2 if e is g else g2.tree()), deltas, g.plan.rules[i]
 
 
 def step_first(e):
@@ -393,27 +587,33 @@ def step_first(e):
     Returns (graph', deltas, rules, choice) or None when stuck. Sound for
     any confluent graph; the explorer covers the remaining schedules.
     """
-    found: list = []
-    _enabled(e, (), False, True, found)
-    if not found:
-        return None
-    choice = found[0]
-    return _apply(e, choice, False) + (choice,)
+    g = e if isinstance(e, FlatGraph) else compile_graph(e)
+    table = g._listed
+    if table is None or g._mode:
+        table = _table(g, False)
+    for i, listed in enumerate(table):
+        if listed is None:
+            listed = _list(g, table, i, False)
+        if listed:
+            g2, deltas = _advance(g, i, listed[0].found[2])
+            return (g2 if e is g else g2.tree()), deltas, g.plan.rules[i], listed[0]
+    return None
 
 
 def apply_outputs(outputs: tuple, deltas: tuple) -> tuple:
-    return tuple(concat(o, d) for o, d in zip(outputs, deltas))
+    return tuple(map(concat, outputs, deltas))
 
 
 def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
-    """The run loop: yield (graph', deltas, rules, choice) for each step.
+    """The run loop: yield (graph', deltas, rules, choice) for each step,
+    with graph' compiled.
 
     ``picker(choices, step_index)`` selects among the enabled steps, or
     returns None to stop; without a picker the first enabled step in tree
     order is taken. The loop ends at a stuck graph or after ``cap`` steps,
     without looking for a further step.
     """
-    steps = 0
+    e, steps = compile_graph(e), 0
     while cap is None or steps < cap:
         if picker is None:
             hit = step_first(e)
@@ -422,7 +622,6 @@ def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
         else:
             choices = enabled_steps(e)
             choice = picker(choices, steps) if choices else None
-            choices = None  # drop the outcomes not chosen before the next step
             if choice is None:
                 return
             hit = step_graph(e, choice) + (choice,)
@@ -433,16 +632,20 @@ def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
 
 def run_steps(e, outputs: tuple, picker=None, cap=None, log=None, iteration=None):
     """Follow ``trajectory``, folding emissions into the outputs and logging
-    every step; returns (graph, outputs, steps taken)."""
-    steps = 0
-    for e, deltas, rules, choice in trajectory(e, picker, cap):
+    every step; returns (graph, outputs, steps taken), with the graph in
+    the form ``e`` was given in."""
+    g, steps = e, 0
+    for g, deltas, rules, choice in trajectory(e, picker, cap):
         outputs = apply_outputs(outputs, deltas)
         if log is not None:
-            entry = {} if iteration is None else {"iter": iteration}
-            entry.update(path="".join(choice.path), choice=choice.index, rules=list(rules))
+            entry = {"path": "".join(choice.path), "choice": choice.index, "rules": list(rules)}
+            if iteration is not None:
+                entry["iter"] = iteration
             log.append(entry)
         steps += 1
-    return e, outputs, steps
+    if g is not e and not isinstance(e, FlatGraph):
+        g = g.tree()  # the caller gave a tree
+    return g, outputs, steps
 
 
 def run_to_stuck(
@@ -475,11 +678,12 @@ class ExploreResult:
     stuck: list  # distinct stuck (graph, outputs) configurations
     visited: int
     capped: bool
-    parents: dict  # config -> (parent config, StepChoice)
+    parents: dict  # compiled config -> (parent config, StepChoice)
 
     def path_to(self, config) -> list:
         """Reconstruct the choice sequence that reaches ``config``."""
         path = []
+        config = (compile_graph(config[0]), config[1])
         while True:
             prev = self.parents.get(config)
             if prev is None:
@@ -492,9 +696,10 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
     """Breadth-first exploration of every schedule, with state dedup.
 
     Each configuration is recorded with the parent it was first reached
-    from, so ``path_to`` returns a shortest schedule.
+    from, so ``path_to`` returns a shortest schedule. Stuck configurations
+    come back in the form ``e`` was given in.
     """
-    start = (e, outputs)
+    start = (compile_graph(e), outputs)
     seen = {start}
     queue = deque([start])
     parents: dict = {start: None}
@@ -505,7 +710,7 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
         g, outs = cfg
         choices = enabled_steps(g, exhaustive=True)
         if not choices:
-            stuck.append(cfg)
+            stuck.append((g if e is start[0] else g.tree(), outs))
             continue
         for ch in choices:
             g2, deltas, _rules = step_graph(g, ch, exhaustive=True)
@@ -518,6 +723,7 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
             seen.add(nxt)
             parents[nxt] = (cfg, StepChoice(ch.path, ch.index))
             queue.append(nxt)
+        g._listed = None  # expanded: its children hold the outcomes they share
     return ExploreResult(stuck=stuck, visited=len(seen), capped=capped, parents=parents)
 
 
@@ -535,12 +741,7 @@ def graph_rank(e) -> Rank:
     padded with zeros; a longer one raises RankViolation.
     """
     comps: list = []
-    _rank_into(e, comps)
-    return Rank(tuple(comps))
-
-
-def _rank_into(g, comps: list):
-    if isinstance(g, Node):
+    for g in e.nodes if isinstance(e, FlatGraph) else _leaves(e, []):
         r = g.op.rank(g.buffers, g.state).components
         arity = g.op.rank_arity
         if len(r) > arity:
@@ -548,9 +749,16 @@ def _rank_into(g, comps: list):
                 f"{g.op.name}: rank has {len(r)} components, rank_arity is {arity}"
             )
         comps.extend(r + (0,) * (arity - len(r)))
+    return Rank(tuple(comps))
+
+
+def _leaves(e, out: list) -> list:
+    if isinstance(e, Node):
+        out.append(e)
     else:
-        _rank_into(g.left, comps)
-        _rank_into(g.right, comps)
+        _leaves(e.left, out)
+        _leaves(e.right, out)
+    return out
 
 
 def budget_message(budget: int, steps: int, e) -> str:

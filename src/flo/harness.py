@@ -33,13 +33,15 @@ from .core import (
     member,
 )
 from .graph import (
-    Node,
     apply_outputs,
+    as_tree,
     budget_message,
+    compile_graph,
     enabled_steps,
     explore_all,
     graph_rank,
     inputs,
+    node,
     out_types,
     run_steps,
     run_to_stuck,
@@ -78,14 +80,21 @@ class OpCase:
     outputs: Optional[tuple] = None
 
 
-def _as_graph(subject, case: OpCase):
+def _compiled(subject):
+    """The subject (an operator or a graph) compiled once, and its output types."""
     if isinstance(subject, OperatorDef):
-        g = Node(case.buffers, subject, subject.initial_state)
-        outs = case.outputs or tuple(bottom(st.collection) for st in subject.outputs)
-        return g, outs
-    g = set_inputs(subject, case.buffers)
-    outs = case.outputs or tuple(bottom(st.collection) for st in out_types(subject))
+        return compile_graph(node(subject)), subject.outputs
+    return compile_graph(subject), out_types(subject)
+
+
+def _as_graph(base, out_tys, case: OpCase):
+    g = set_inputs(base, case.buffers)
+    outs = case.outputs or tuple(bottom(st.collection) for st in out_tys)
     return g, outs
+
+
+def _tree_config(config):
+    return as_tree(config[0]), config[1]
 
 
 def _feed(g, deltas):
@@ -99,10 +108,11 @@ def _feed(g, deltas):
 
 def check_eager(subject, cases, budget: int = 4000) -> PropertyReport:
     """Delta before a step and delta after a step must converge."""
+    base, out_tys = _compiled(subject)
     n = 0
     for case in cases:
         n += 1
-        g0, outs0 = _as_graph(subject, case)
+        g0, outs0 = _as_graph(base, out_tys, case)
         g0, outs0, _ = run_steps(g0, outs0, cap=case.presteps)
         target_g, target_o, _ = run_to_stuck(_feed(g0, case.delta), outs0, budget=budget)
         failed = None
@@ -114,8 +124,8 @@ def check_eager(subject, cases, budget: int = 4000) -> PropertyReport:
                 failed = {
                     "case": case,
                     "choice": choice,
-                    "stuck_after_step": (s_g, s_o),
-                    "stuck_delta_first": (target_g, target_o),
+                    "stuck_after_step": _tree_config((s_g, s_o)),
+                    "stuck_delta_first": _tree_config((target_g, target_o)),
                 }
                 break
         if failed is not None:
@@ -129,11 +139,11 @@ def check_eager(subject, cases, budget: int = 4000) -> PropertyReport:
 
 def check_progress(subject, cases, budget: int = 4000) -> PropertyReport:
     """Bounded outputs fixed at stuck; outputs maximal under input fixing."""
-    outs_types = subject.outputs if isinstance(subject, OperatorDef) else out_types(subject)
+    base, outs_types = _compiled(subject)
     n = 0
     for case in cases:
         n += 1
-        g0, outs0 = _as_graph(subject, case)
+        g0, outs0 = _as_graph(base, outs_types, case)
         _, o1, _ = run_to_stuck(g0, outs0, budget=budget)
         for st, value in zip(outs_types, o1):
             if st.bound is B and not is_fixed(value):
@@ -147,7 +157,7 @@ def check_progress(subject, cases, budget: int = 4000) -> PropertyReport:
         fixed_case = OpCase(
             buffers=tuple(fix(b) for b in case.buffers), outputs=case.outputs
         )
-        g2, outs2 = _as_graph(subject, fixed_case)
+        g2, outs2 = _as_graph(base, outs_types, fixed_case)
         _, o2, _ = run_to_stuck(g2, outs2, budget=budget)
         expected = tuple(fix(o) for o in o1)
         if o2 != expected:
@@ -173,7 +183,7 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
     does, since a fixed cap says nothing about the rank.
     """
     is_op = isinstance(subject, OperatorDef)
-    outs_types = subject.outputs if is_op else out_types(subject)
+    base, outs_types = _compiled(subject)
     rng = random.Random(seed)
 
     def pick(choices, _step):
@@ -182,8 +192,8 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
     n = 0
     for case in cases:
         n += 1
-        g, outs = _as_graph(subject, case)
-        base_type = None if is_op else typecheck(g)
+        g, outs = _as_graph(base, outs_types, case)
+        base_type = None if is_op else typecheck(as_tree(g))
         before = None  # the rank of g, carried over from the previous step
         steps = 0
         for g2, deltas, _rules, choice in trajectory(g, pick, budget + 1):
@@ -209,7 +219,7 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
                         {"reason": "output left its collection type"},
                     )
             if not is_op:
-                if typecheck(g2) != base_type:
+                if typecheck(as_tree(g2)) != base_type:
                     return PropertyReport(
                         "Preservation", "Fail", n, {"case": case}, {"reason": "graph type changed"}
                     )
@@ -255,7 +265,7 @@ def check_determinism(
     if isinstance(mode, Exhaustive):
         max_configs = mode.max_configs
         mode = "exhaustive"
-    g = set_inputs(graph, case_inputs)
+    g = compile_graph(set_inputs(graph, case_inputs))
     outs = outputs or tuple(bottom(st.collection) for st in out_types(graph))
     details: dict = {}
     if mode == "exhaustive":
@@ -272,8 +282,8 @@ def check_determinism(
                 1,
                 {
                     "inputs": case_inputs,
-                    "stuck_a": first,
-                    "stuck_b": second,
+                    "stuck_a": _tree_config(first),
+                    "stuck_b": _tree_config(second),
                     "schedule_a": res.path_to(first),
                     "schedule_b": res.path_to(second),
                 },
@@ -294,7 +304,13 @@ def check_determinism(
         "Determinism",
         "Fail",
         samples,
-        {"inputs": case_inputs, "stuck_a": a, "stuck_b": b2, "seed_a": ia, "seed_b": ib},
+        {
+            "inputs": case_inputs,
+            "stuck_a": _tree_config(a),
+            "stuck_b": _tree_config(b2),
+            "seed_a": ia,
+            "seed_b": ib,
+        },
         details,
     )
 

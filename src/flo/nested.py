@@ -30,8 +30,10 @@ from .core import (
     DuplicateKey,
     EMPTY,
     Extend,
+    FloError,
     GraphTypeError,
     MissingKey,
+    NOTHING,
     NestOutputUnbounded,
     OperatorDef,
     Payload,
@@ -45,6 +47,7 @@ from .core import (
     U,
     bottom,
     concat,
+    fix,
     is_fixed,
     member,
     register_language,
@@ -52,6 +55,7 @@ from .core import (
 from .graph import (
     DeferContexts,
     Node,
+    compile_graph,
     enabled_steps,
     graph_rank,
     inputs,
@@ -154,6 +158,22 @@ class NestedLanguage(CollectionLanguage):
     def content_size(self, value):
         return len(value.tuples)
 
+    def last_output(self, tag):
+        if len(tag.params) != 1:
+            raise FloError("last over nested streams requires a single inner component")
+        return tag.params[0].collection
+
+    def last_observe(self, latest, value):
+        if len(value.tuples) >= 2 or (value.terminated and value.tuples):
+            rest = NestedSeqValue(value.terminated, value.tuples[:-1], value.inner_types)
+            return value.tuples[-1][0], rest
+        return None
+
+    def last_emit(self, latest, tag):
+        if latest is NOTHING:
+            latest = bottom(tag.params[0].collection)
+        return Payload(fix(latest))
+
     def split_prefix(self, value, n):
         drainable = len(value.tuples) - (0 if value.terminated else 1)
         n = min(n, max(drainable, 0))
@@ -246,35 +266,28 @@ def write_defer(key: str, tag: Tag) -> OperatorDef:
 
 def collect_defer(e) -> dict:
     """Map each write_defer key to its accumulated buffer."""
+    g = compile_graph(e)
     out: dict = {}
-
-    def walk(g):
-        if isinstance(g, Node):
-            for key, _tag in g.op.defer_writes:
-                if key in out:
-                    raise DuplicateKey(f"write_defer key {key!r} appears twice")
-                out[key] = g.buffers[0]
-        else:
-            walk(g.left)
-            walk(g.right)
-
-    walk(e)
+    for key, i in g.plan.writes:
+        if key in out:
+            raise DuplicateKey(f"write_defer key {key!r} appears twice")
+        out[key] = g.nodes[i].buffers[0]
     return out
 
 
 def set_defer(e, values: dict):
-    """Fresh copy of a graph with every read_defer's pending value replaced."""
-    if isinstance(e, Node):
-        if e.op.defer_reads:
-            key = e.op.defer_reads[0][0]
-            if key not in values:
-                raise MissingKey(f"no deferred value for read_defer key {key!r}")
-            return Node(e.buffers, e.op, ReadDeferState(values[key]))
+    """The graph with every read_defer's pending value replaced, in the form
+    it was given in; other nodes are kept as they are."""
+    flat = compile_graph(e)
+    if not flat.plan.reads:
         return e
-    left, right = set_defer(e.left, values), set_defer(e.right, values)
-    if left is e.left and right is e.right:
-        return e  # untouched subtrees keep their stuckness memo
-    return type(e)(left, right)
+    nodes = list(flat.nodes)
+    for key, i in flat.plan.reads:
+        if key not in values:
+            raise MissingKey(f"no deferred value for read_defer key {key!r}")
+        nodes[i] = Node(nodes[i].buffers, nodes[i].op, ReadDeferState(values[key]))
+    g = flat.derive(nodes, [i for _key, i in flat.plan.reads])
+    return g if e is flat else g.tree()
 
 
 def _collect_declared(e, reads: dict, writes: dict):
@@ -300,7 +313,7 @@ BEFORE, RUNNING_PHASE, DONE_PHASE = 0, 1, 2
 @dataclass(frozen=True, slots=True)
 class NestState:
     phase: int
-    current: object  # GraphExpr of the in-flight iteration
+    current: object  # the in-flight iteration's graph, compiled while running
     iter_outputs: tuple  # outputs accumulated by the current iteration
 
 
@@ -343,6 +356,13 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
         params = {"bound": outer_bound.value, "graph": g}
         if g_o is not None:
             params["copy"] = g_o
+    compiled: list = []  # g and the template, compiled on the first step
+
+    def first_and_template():
+        if not compiled:
+            first = compile_graph(g)
+            compiled.extend((first, first if original is g else compile_graph(original)))
+        return compiled
 
     def steps(buffers, state, exhaustive):
         (v,) = buffers
@@ -350,7 +370,7 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
             return []
         if state.phase == BEFORE:
             if v.tuples:
-                running = NestState(RUNNING_PHASE, g, bottoms)
+                running = NestState(RUNNING_PHASE, first_and_template()[0], bottoms)
                 return [StepResult(buffers, running, (Push(bottoms),), "nest-first")]
             if v.terminated:
                 done = NestState(DONE_PHASE, g, ())
@@ -359,8 +379,8 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
         if not v.tuples:
             return []
         # Returns state.current itself while it still holds the oldest tuple,
-        # which run_graph below keeps true, so its stuckness memo carries over.
-        synced = set_inputs(state.current, v.tuples[-1])
+        # which run_graph below keeps true, so its listed outcomes carry over.
+        synced = set_inputs(compile_graph(state.current), v.tuples[-1])
 
         def run_graph(stepped, deltas):
             consumed = inputs(stepped)
@@ -386,7 +406,7 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
             harvested = collect_defer(synced)
             if not all(is_fixed(x) for x in harvested.values()):
                 return []
-            nxt = set_defer(original, harvested)
+            nxt = set_defer(first_and_template()[1], harvested)
             v2 = NestedSeqValue(v.terminated, v.tuples[:-1], v.inner_types)
             return [
                 StepResult(

@@ -28,7 +28,7 @@ from .core import (
     concat,
     language_of,
 )
-from .graph import budget_message, inputs, run_steps, set_inputs, typecheck
+from .graph import as_tree, budget_message, compile_graph, inputs, run_steps, set_inputs, typecheck
 
 
 SAFETY_CAP = 200_000
@@ -155,10 +155,31 @@ def recombine(total, piece):
 # the loop
 
 
-@dataclass(frozen=True)
 class LoopConfig:
-    graph: object
-    pending: tuple  # pending output collections, one per port
+    """The loop's state between iterations: the graph and the pending output
+    collections, one per port. The graph may be given as a tree; the loop
+    keeps it compiled, and reading ``graph`` rebuilds the tree."""
+
+    __slots__ = ("_graph", "pending")
+
+    def __init__(self, graph, pending: tuple):
+        self._graph = graph
+        self.pending = pending
+
+    @property
+    def graph(self):
+        return as_tree(self._graph)
+
+    def __eq__(self, other):
+        if not isinstance(other, LoopConfig):
+            return NotImplemented
+        return (self.graph, self.pending) == (other.graph, other.pending)
+
+    def __hash__(self):
+        return hash((self.graph, self.pending))
+
+    def __repr__(self):
+        return f"LoopConfig(graph={self.graph!r}, pending={self.pending!r})"
 
 
 @dataclass(frozen=True)
@@ -201,15 +222,18 @@ def loop_iteration(
     log: Optional[list] = None,
     iteration: int = 0,
 ):
-    """One turn of the loop; returns the new config and the drained portions."""
-    ins = inputs(cfg.graph)
+    """One turn of the loop; returns the new config and the drained portions.
+
+    The graph is compiled on the first turn and stays compiled after it."""
+    graph = compile_graph(cfg._graph)
+    ins = inputs(graph)
     if len(batch.deltas) != len(ins):
         raise BatchShapeMismatch(f"{len(batch.deltas)} deltas for {len(ins)} inputs")
     try:
         fed = tuple(concat(b, d) for b, d in zip(ins, batch.deltas))
     except PayloadShapeMismatch as exc:
         raise BatchShapeMismatch(str(exc)) from exc
-    graph = set_inputs(cfg.graph, fed)
+    graph = set_inputs(graph, fed)
     graph, outputs, _ = _run_steps(graph, cfg.pending, picker, step_budget, log, iteration)
     drained = []
     remaining = []

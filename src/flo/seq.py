@@ -27,7 +27,9 @@ from .core import (
     ElemType,
     FINISHED,
     FloError,
+    LANGUAGES,
     NAT,
+    NOTHING,
     OperatorDef,
     Payload,
     PayloadShapeMismatch,
@@ -39,7 +41,6 @@ from .core import (
     Tag,
     U,
     register_language,
-    language_of,
 )
 from . import catalog
 
@@ -104,6 +105,17 @@ class SeqLanguage(CollectionLanguage):
 
     def content_size(self, value):
         return len(value.items)
+
+    def last_output(self, tag):
+        return tag
+
+    def last_observe(self, latest, value):
+        if value.items:
+            return value.items[0], SeqValue(value.terminated, ())
+        return None
+
+    def last_emit(self, latest, tag):
+        return Payload(SeqValue(True, () if latest is NOTHING else (latest,)))
 
     def split_prefix(self, value, n):
         n = min(n, len(value.items))
@@ -526,124 +538,33 @@ def last(tag: Tag, *, _bound: Bound = B) -> OperatorDef:
     empty); set inputs yield the accumulated set; nested inputs with a
     single inner component yield the newest inner collection. Emission
     happens once, as a single already-fixed delta, when the input fixes.
+    What each language keeps and emits is its ``last_*`` protocol.
     """
-    language = tag.language
-    if language == "seq":
-
-        def observe(state, inp):
-            if inp.items:
-                return LastState(inp.items[0], False), SeqValue(inp.terminated, ())
-            return None
-
-        def emit_value(state):
-            items = () if state.latest is _NOTHING else (state.latest,)
-            return Payload(SeqValue(True, items))
-
-        def pending(inp):
-            return len(inp.items)
-
-        def done_input(inp):
-            return inp.terminated
-
-    elif language == "set":
-        from .sets import SetValue
-
-        def observe(state, inp):
-            if inp.elems:
-                acc = state.latest if state.latest is not _NOTHING else frozenset()
-                return LastState(acc | inp.elems, False), SetValue(frozenset(), inp.fixed)
-            return None
-
-        def emit_value(state):
-            from .sets import SetValue as SV
-
-            elems = frozenset() if state.latest is _NOTHING else state.latest
-            return Payload(SV(elems, True))
-
-        def pending(inp):
-            return len(inp.elems)
-
-        def done_input(inp):
-            return inp.fixed
-
-    elif language == "nested":
-        from .nested import NestedSeqValue
-
-        if len(tag.params) != 1:
-            raise FloError("last over nested streams requires a single inner component")
-        inner_type = tag.params[0]
-
-        def observe(state, inp):
-            if len(inp.tuples) >= 2 or (inp.terminated and inp.tuples):
-                popped = inp.tuples[-1][0]
-                return (
-                    LastState(popped, False),
-                    NestedSeqValue(inp.terminated, inp.tuples[:-1], inp.inner_types),
-                )
-            return None
-
-        def emit_value(state):
-            v = state.latest
-            if v is _NOTHING:
-                v = bottom_of(inner_type.collection)
-            return Payload(_as_fixed(v))
-
-        def pending(inp):
-            return len(inp.tuples)
-
-        def done_input(inp):
-            return inp.terminated
-
-    else:
-        raise FloError(f"last does not support {language} inputs")
+    lang = LANGUAGES.get(tag.language)
+    out = None if lang is None else lang.last_output(tag)
+    if out is None:
+        raise FloError(f"last does not support {tag.language} inputs")
 
     def steps(buffers, state, exhaustive):
         (inp,) = buffers
-        seen = observe(state, inp)
+        seen = lang.last_observe(state.latest, inp)
         if seen is not None:
-            new_state, residue = seen
-            return [StepResult((residue,), new_state, (EMPTY,), "last")]
-        if done_input(inp) and not state.done:
-            return [
-                StepResult(buffers, LastState(state.latest, True), (emit_value(state),), "last-emit")
-            ]
+            latest, residue = seen
+            return [StepResult((residue,), LastState(latest, False), (EMPTY,), "last")]
+        if lang.is_fixed(inp) and not state.done:
+            emitted = lang.last_emit(state.latest, tag)
+            return [StepResult(buffers, LastState(state.latest, True), (emitted,), "last-emit")]
         return []
 
     def rank(buffers, state):
-        return Rank((pending(buffers[0]) + _flag(state.done),))
+        return Rank((lang.content_size(buffers[0]) + _flag(state.done),))
 
-    if language == "nested":
-        out = tag.params[0]
-        out = StreamType(out.collection, _bound)
-    else:
-        out = StreamType(tag, _bound)
     return OperatorDef(
         name="last",
         inputs=(StreamType(tag, _bound),),
-        outputs=(out,),
-        initial_state=LastState(_NOTHING, False),
+        outputs=(StreamType(out, _bound),),
+        initial_state=LastState(NOTHING, False),
         steps_fn=steps,
         rank_fn=rank,
         params={"tag": str(tag)},
     )
-
-
-class _Nothing:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<nothing>"
-
-
-_NOTHING = _Nothing()
-
-
-def bottom_of(tag: Tag):
-    from .core import bottom
-
-    return bottom(tag)
-
-
-def _as_fixed(value):
-    return language_of(value).fix(value)
-

@@ -22,6 +22,7 @@ from .core import (
     FINISHED,
     FloError,
     LANGUAGES,
+    NOTHING,
     OperatorDef,
     Payload,
     PayloadShapeMismatch,
@@ -96,6 +97,18 @@ class SetLanguage(CollectionLanguage):
 
     def content_size(self, value):
         return len(value.elems)
+
+    def last_output(self, tag):
+        return tag
+
+    def last_observe(self, latest, value):
+        if value.elems:
+            kept = frozenset() if latest is NOTHING else latest
+            return kept | value.elems, SetValue(frozenset(), value.fixed)
+        return None
+
+    def last_emit(self, latest, tag):
+        return Payload(SetValue(frozenset() if latest is NOTHING else latest, True))
 
     def split_prefix(self, value, n):
         ordered = sorted(value.elems, key=sort_key)

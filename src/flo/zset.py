@@ -10,7 +10,9 @@ product, storing consumed input on each side.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     ANY,
@@ -71,6 +73,33 @@ def add_cards(a: dict, b: dict) -> dict:
     return out
 
 
+def merge_cards(cards: tuple, delta: tuple) -> tuple:
+    """Keywise sum of two sorted card tuples, sorted, with cancelled keys dropped.
+
+    Each delta key is placed by bisecting ``cards`` from where the previous
+    one landed, so ``sort_key`` runs only on the delta's keys and on the
+    probes: O(|delta| log |cards|) calls, and one C-level copy of the rest.
+    """
+    if not cards:
+        return delta
+    pieces, lo, n = [], 0, len(cards)
+    for k, v in delta:
+        i = bisect_left(cards, sort_key(k), lo, n, key=_card_key)
+        pieces.append(cards[lo:i])
+        if i < n and cards[i][0] == k:
+            v += cards[i][1]
+            i += 1
+        if v:
+            pieces.append(((k, v),))
+        lo = i
+    pieces.append(cards[lo:])
+    return tuple(chain.from_iterable(pieces))
+
+
+def _card_key(card):
+    return sort_key(card[0])
+
+
 def join_cards(a: dict, b: dict) -> dict:
     """Keywise cardinality product."""
     return {k: a[k] * b[k] for k in a.keys() & b.keys() if a[k] * b[k] != 0}
@@ -89,8 +118,7 @@ class ZSetLanguage(CollectionLanguage):
         if delta is TERMINATOR:
             return ZSetValue(value.cards, True)
         if isinstance(delta, Payload) and isinstance(delta.value, ZSetValue):
-            d = delta.value
-            return zset(add_cards(value.as_dict(), d.as_dict()), d.fixed)
+            return ZSetValue(merge_cards(value.cards, delta.value.cards), delta.value.fixed)
         raise PayloadShapeMismatch(f"zset cannot absorb {delta!r}")
 
     def is_fixed(self, value):

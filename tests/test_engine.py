@@ -85,6 +85,16 @@ def test_round_robin_trace_evaluates_each_node_at_most_once_per_step(op_calls):
     assert op_calls["n"] <= 3 * steps
 
 
+def test_round_robin_trace_evaluates_only_replaced_nodes(op_calls):
+    trace = [
+        TraceStep(InputBatch((Payload(seq(*range(i, i + 5))),)), None) for i in range(0, 40, 5)
+    ]
+    res = run_trace(map_filter_scan(), trace, RoundRobin())
+    # A step replaces the stepped node and at most one node it feeds; every
+    # other node keeps the outcomes it was listed with.
+    assert op_calls["n"] <= 2 * len(res.log)
+
+
 def test_reachability_makes_few_evaluations_per_step(op_calls):
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)]
     trace = []
@@ -195,7 +205,13 @@ def test_explore_all_config_counts_are_unchanged(n, configs):
 
 @pytest.mark.parametrize(
     "name,schedule,seed",
-    [("par_pipelines", "roundrobin", 5), ("par_pipelines", "random", 5), ("reach_dynamic", "random", 2)],
+    [
+        ("par_pipelines", "roundrobin", 5),
+        ("par_pipelines", "random", 5),
+        ("reach_dynamic", "random", 2),
+        ("zset_mix", "roundrobin", 3),
+        ("window_fold", "random", 4),
+    ],
 )
 def test_run_log_bytes_are_unchanged(tmp_path, capsys, name, schedule, seed):
     log = tmp_path / "steps.jsonl"

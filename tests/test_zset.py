@@ -199,3 +199,43 @@ def test_join_sort_key_calls_grow_with_delta_not_state(monkeypatch):
         state = r.state
     assert len(state.seen_left) == len(state.seen_right) == 500
     assert calls <= 2 * len(batches)
+
+
+def _mixed_zset(rng):
+    keys = [rng.randint(-5, 20), f"s{rng.randint(0, 5)}", (rng.randint(0, 3), rng.randint(0, 3))]
+    return zset({rng.choice(keys): rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(0, 10))})
+
+
+def test_concat_merge_agrees_with_summing_dicts():
+    rng = random.Random(41)
+    for _ in range(500):
+        a, b = _mixed_zset(rng), _mixed_zset(rng)
+        assert concat(a, Payload(b)) == zset(add_cards(a.as_dict(), b.as_dict()))
+
+
+def test_concat_sort_key_calls_are_linear_in_batches(monkeypatch):
+    # K single-key batches into both join inputs, drained every time. Each
+    # concat places its delta by bisection, so no fold over a growing total
+    # re-sorts it (the whole-value re-sort made 132 251, 514 501 and
+    # 2 029 001 calls at K = 500, 1 000 and 2 000).
+    from flo.programs import zset_mix_pipeline
+    from flo.scheduler import DrainAll, InputBatch, TraceStep, run_trace
+
+    calls = 0
+    real_sort_key = zset_module.sort_key
+
+    def counting_sort_key(x):
+        nonlocal calls
+        calls += 1
+        return real_sort_key(x)
+
+    monkeypatch.setattr(zset_module, "sort_key", counting_sort_key)
+    for k in (500, 1000, 2000):
+        calls = 0
+        trace = [
+            TraceStep(InputBatch((Payload(zset({i: 1})), Payload(zset({i: 1})))), None, DrainAll())
+            for i in range(k)
+        ]
+        (total,) = run_trace(zset_mix_pipeline(), trace).totals
+        assert total.as_dict() == {i: 6 for i in range(k)}
+        assert calls <= 40 * k, (k, calls)
