@@ -18,9 +18,61 @@ values carry their language name in ``.lang`` so generic helpers
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Callable, Optional
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def record(cls):
+    """Declare an immutable record: ``dataclass(frozen=True, slots=True)``
+    with a cheaper constructor.
+
+    The ``__init__`` a frozen dataclass generates stores each field through
+    ``object.__setattr__``, a generic attribute store per field. Every step
+    builds several records, so this ``__init__`` stores each field through
+    its slot's member descriptor instead, fetched once here. Signature,
+    defaults, ``init=False`` fields and ``__post_init__`` behave as in the
+    generated one; equality, hashing and repr are the dataclass's, and
+    assignment and deletion still raise ``FrozenInstanceError``.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    env: dict = {}
+    params, body = [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING or f.kw_only:
+            raise TypeError(f"record {cls.__name__}.{f.name}: no default_factory or kw_only")
+        setter, default = f"_set_{f.name}", f"_dflt_{f.name}"
+        env[setter] = cls.__dict__[f.name].__set__
+        if f.default is not MISSING:
+            env[default] = f.default
+        if f.init:
+            params.append(f.name if f.default is MISSING else f"{f.name}={default}")
+            body.append(f"{setter}(self, {f.name})")
+        elif f.default is not MISSING:
+            body.append(f"{setter}(self, {default})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    # The descriptors and defaults reach __init__ as closure cells, which
+    # load faster than globals.
+    names = ", ".join(env)
+    src = (
+        f"def make({names}):\n"
+        f"    def __init__({', '.join(['self', *params])}):\n"
+        + "".join(f"        {line}\n" for line in body or ["pass"])
+        + "    return __init__\n"
+    )
+    scope: dict = {}
+    exec(compile(src, "<record>", "exec"), {}, scope)
+    init, generated = scope["make"](**env), cls.__init__
+    init.__qualname__ = generated.__qualname__
+    init.__module__ = generated.__module__
+    init.__annotations__ = generated.__annotations__
+    cls.__init__ = init
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +188,7 @@ B = Bound.BOUNDED
 U = Bound.UNBOUNDED
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ElemType:
     """Structural element type for collection contents.
 
@@ -212,7 +264,7 @@ def pair(a: ElemType, b: ElemType) -> ElemType:
     return ElemType("pair", (a, b))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Tag:
     """A collection type: language name plus its type parameters.
 
@@ -230,7 +282,7 @@ class Tag:
         return f"{self.language}<{','.join(str(p) for p in self.params)}>"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StreamType:
     """A collection type paired with a boundedness flag."""
 
@@ -260,31 +312,31 @@ def subtype(a: StreamType, b: StreamType) -> bool:
 # one delta).
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Terminator:
     def __repr__(self):
         return "TERMINATOR"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EmptyDelta:
     def __repr__(self):
         return "EMPTY"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Payload:
     value: object
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Push:
     """Nested streams only: open a new tuple of inner collections."""
 
     values: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Extend:
     """Nested streams only: apply one delta per component to the newest tuple."""
 
@@ -302,7 +354,7 @@ Delta = object  # Terminator | EmptyDelta | Payload | Push | Extend
 
 
 @functools.total_ordering
-@dataclass(frozen=True, slots=True)
+@record
 class Rank:
     """Tuple of naturals compared lexicographically.
 
@@ -488,7 +540,7 @@ def bottom(tag: Tag):
 # operators
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepResult:
     """Outcome of one operator small step."""
 
@@ -498,7 +550,7 @@ class StepResult:
     rule: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DoneState:
     """State of an operator whose only memory is whether it has terminated."""
 

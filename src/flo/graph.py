@@ -48,6 +48,7 @@ from .core import (
     bottom,
     concat,
     member,
+    record,
     subtype,
 )
 
@@ -66,7 +67,7 @@ def _memo():
     return field(default=0, init=False, compare=False, hash=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Node:
     buffers: tuple
     op: OperatorDef
@@ -74,14 +75,14 @@ class Node:
     _stuck: int = _memo()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Seq:
     left: object
     right: object
     _stuck: int = _memo()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Par:
     left: object
     right: object
@@ -149,7 +150,7 @@ def describe(e) -> str:
 # typechecking
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GraphType:
     inputs: tuple
     outputs: tuple
@@ -160,7 +161,7 @@ class GraphType:
         return f"({ins}) -> ({outs})"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DeferContexts:
     """Read context plus the linearly-used write context."""
 
@@ -475,7 +476,7 @@ def set_inputs(e, new: tuple):
 # small steps
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StepChoice:
     path: tuple  # of "L"/"R", ending at a Node
     index: int  # operator-internal choice

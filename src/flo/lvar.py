@@ -14,8 +14,6 @@ admits exactly one threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     ANY,
     B,
@@ -36,6 +34,7 @@ from .core import (
     Tag,
     ThresholdsNotIncompatible,
     U,
+    record,
     register_language,
 )
 from . import catalog
@@ -144,7 +143,7 @@ def lattice(lattice_id: str) -> Lattice:
 # values
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LVarValue:
     lattice: str
     value: object
@@ -206,7 +205,7 @@ def lvar_tag(lattice_id: str) -> Tag:
 WATCHING, FIRED, CLOSED = 2, 1, 0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ThreshState:
     phase: int
 

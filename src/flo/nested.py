@@ -17,7 +17,6 @@ accumulated buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -50,6 +49,7 @@ from .core import (
     fix,
     is_fixed,
     member,
+    record,
     register_language,
 )
 from .graph import (
@@ -70,7 +70,7 @@ from .graph import (
 # values
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NestedSeqValue:
     terminated: bool
     tuples: tuple  # tuples of inner collection values, newest first
@@ -202,7 +202,7 @@ def nested_tag(inner_types: tuple) -> Tag:
 # defer operators
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReadDeferState:
     pending: Optional[object]
 
@@ -310,7 +310,7 @@ def _collect_declared(e, reads: dict, writes: dict):
 BEFORE, RUNNING_PHASE, DONE_PHASE = 0, 1, 2
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NestState:
     phase: int
     current: object  # the in-flight iteration's graph, compiled while running

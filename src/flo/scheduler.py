@@ -28,7 +28,16 @@ from .core import (
     concat,
     language_of,
 )
-from .graph import as_tree, budget_message, compile_graph, inputs, run_steps, set_inputs, typecheck
+from .graph import (
+    as_tree,
+    budget_message,
+    compile_graph,
+    enabled_steps,
+    inputs,
+    run_steps,
+    set_inputs,
+    typecheck,
+)
 
 
 SAFETY_CAP = 200_000
@@ -203,11 +212,11 @@ class RunResult:
 
 
 def _run_steps(graph, outputs, picker, budget, log, iteration):
-    """Take up to ``budget`` steps; with no budget, running into the
-    safety cap is an error."""
+    """Take up to ``budget`` steps; with no budget, a graph that can still
+    step after ``SAFETY_CAP`` steps is an error."""
     cap = SAFETY_CAP if budget is None else budget
     graph, outputs, steps = run_steps(graph, outputs, picker, cap, log, iteration)
-    if budget is None and steps == cap:
+    if budget is None and steps == cap and enabled_steps(graph):
         raise StepBudgetExceeded(budget_message(cap, steps, graph))
     return graph, outputs, steps
 

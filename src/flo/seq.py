@@ -14,7 +14,6 @@ consumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -40,6 +39,7 @@ from .core import (
     StreamType,
     Tag,
     U,
+    record,
     register_language,
 )
 from . import catalog
@@ -49,7 +49,7 @@ from . import catalog
 # sequence values
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SeqValue:
     """Ordered sequence; ``items[0]`` is the newest element."""
 
@@ -136,7 +136,7 @@ def seq_tag(elem: ElemType = ANY) -> Tag:
 # natural-number singleton
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SingletonNat:
     """Holds at most one natural, ever; a second distinct value is an error."""
 
@@ -206,19 +206,19 @@ NAT_TAG = Tag("nat")
 # operator state records
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AccState:
     acc: object
     done: bool
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WindowState:
     buffer: tuple  # (value, timestamp) pairs, newest first
     done: bool
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LastState:
     latest: object
     done: bool

@@ -9,7 +9,7 @@ that drive nested graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import field
 
 from .core import (
     ANY,
@@ -37,6 +37,7 @@ from .core import (
     bottom,
     is_fixed,
     pair,
+    record,
     register_language,
     sort_key,
 )
@@ -44,10 +45,14 @@ from .nested import NestedSeqValue, nested_tag
 from .seq import NAT_TAG
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SetValue:
     elems: frozenset
     fixed: bool
+    # The element type ``elems`` last passed ``member`` at. A cache, not
+    # part of the value: equality, hashing and repr ignore it, and it stays
+    # true because ``elems`` never changes.
+    _checked: object = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     lang = "set"
 
@@ -60,27 +65,41 @@ def sset(elems, fixed: bool = False) -> SetValue:
     return SetValue(frozenset(elems), fixed)
 
 
+def _carry(out: SetValue, source: SetValue) -> SetValue:
+    """``out`` holds exactly ``source``'s elements, so it has passed the
+    same checks: give it ``source``'s memo."""
+    object.__setattr__(out, "_checked", source._checked)
+    return out
+
+
 class SetLanguage(CollectionLanguage):
     name = "set"
 
     def member(self, value, tag):
         if not isinstance(value, SetValue):
             return False
-        return all(map(tag.params[0].check, value.elems))
+        elem = tag.params[0]
+        if value._checked == elem:
+            return True
+        if not all(map(elem.check, value.elems)):
+            return False
+        object.__setattr__(value, "_checked", elem)
+        return True
 
     def concat(self, value, delta):
         if delta is TERMINATOR:
-            return SetValue(value.elems, True)
+            return _carry(SetValue(value.elems, True), value)
         if isinstance(delta, Payload) and isinstance(delta.value, SetValue):
             d = delta.value
-            return SetValue(value.elems | d.elems, value.fixed or d.fixed)
+            out = SetValue(value.elems | d.elems, value.fixed or d.fixed)
+            return out if value.elems else _carry(out, d)
         raise PayloadShapeMismatch(f"set cannot absorb {delta!r}")
 
     def is_fixed(self, value):
         return value.fixed
 
     def fix(self, value):
-        return SetValue(value.elems, True)
+        return _carry(SetValue(value.elems, True), value)
 
     def bottom(self, tag):
         return SetValue(frozenset(), False)
@@ -93,7 +112,8 @@ class SetLanguage(CollectionLanguage):
     def take_content(self, value):
         if not value.elems:
             return None
-        return Payload(SetValue(value.elems, False)), SetValue(frozenset(), value.fixed)
+        content = _carry(SetValue(value.elems, False), value)
+        return Payload(content), SetValue(frozenset(), value.fixed)
 
     def content_size(self, value):
         return len(value.elems)
@@ -179,7 +199,7 @@ def set_union(elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EdgeJoinState:
     nodes: frozenset
     edges: frozenset
@@ -257,7 +277,7 @@ def edge_join(elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
 # nested-stream producers
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RepeatState:
     emitted: int
     done: bool
@@ -312,7 +332,7 @@ def repeat_nested(data_tag: Tag, count_known_bound: Bound = B) -> OperatorDef:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ZipState:
     opened: bool
     sent_fix: tuple  # per output component
@@ -431,7 +451,7 @@ def zip_nested(left_inner: tuple, right_inner: tuple, bound: Bound = U) -> Opera
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NestOnceState:
     opened: bool
     closed_first: bool

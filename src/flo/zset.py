@@ -11,7 +11,6 @@ product, storing consumed input on each side.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
 
 from .core import (
@@ -30,13 +29,14 @@ from .core import (
     TERMINATOR,
     Tag,
     U,
+    record,
     register_language,
     sort_key,
 )
 from . import catalog
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ZSetValue:
     cards: tuple  # sorted ((key, cardinality), ...) with no zero entries
     fixed: bool
@@ -200,7 +200,7 @@ def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class JoinState:
     """The consumed input of each side, as key -> cardinality dicts.
 

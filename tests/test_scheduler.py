@@ -4,7 +4,7 @@ import pytest
 
 from flo import scheduler
 from flo.core import Payload, StepBudgetExceeded, TERMINATOR
-from flo.graph import inputs, run_to_stuck
+from flo.graph import inputs, node, run_to_stuck
 from flo.programs import fold_pipeline, scan_pipeline
 from flo.scheduler import (
     DrainAll,
@@ -21,7 +21,7 @@ from flo.scheduler import (
     make_picker,
     run_trace,
 )
-from flo.seq import SeqValue, seq
+from flo.seq import SeqValue, seq, seq_map
 
 
 def batch(*deltas):
@@ -176,3 +176,19 @@ def test_safety_cap_reports_budget_and_rank(monkeypatch):
     msg = str(err.value)
     assert "step budget of 5 exhausted after 5 steps" in msg
     assert msg.endswith("graph rank is still (16,)")  # 15 items left, not terminated
+
+
+@pytest.mark.parametrize("cap, stuck", [(2, False), (3, True), (4, True)])
+def test_safety_cap_allows_a_run_that_is_stuck_at_the_cap(monkeypatch, cap, stuck):
+    # map over three items reaches its stuck state in exactly three steps
+    monkeypatch.setattr(scheduler, "SAFETY_CAP", cap)
+    trace = [TraceStep(batch(payload(1, 2, 3)), None, DrainAll())]
+    g = node(seq_map("inc"))
+    if not stuck:
+        message = f"budget of {cap} exhausted after {cap} steps"
+        with pytest.raises(StepBudgetExceeded, match=message):
+            run_trace(g, trace)
+        return
+    res = run_trace(g, trace)
+    assert len(res.log) == 3
+    assert res.totals == (seq(2, 3, 4),)

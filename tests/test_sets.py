@@ -4,7 +4,7 @@ import pytest
 
 from conftest import run_op
 
-from flo.core import B, INT, U
+from flo.core import B, INT, U, ElemType, Payload, concat, member, pair
 from flo.graph import node, run_to_stuck, set_inputs
 from flo.nested import NestedSeqValue
 from flo.seq import SeqValue, SingletonNat, seq_tag
@@ -134,3 +134,50 @@ class TestNestOnce:
 
         with pytest.raises(FloError):
             nest_once(set_tag(INT), U, limit=3)
+
+
+def test_a_pushed_set_is_checked_once_per_element_type(monkeypatch):
+    from flo import core
+    from flo.core import Push, TERMINATOR
+    from flo.programs import reachability_dynamic
+    from flo.scheduler import InputBatch, RoundRobin, TraceStep, run_trace
+
+    checks = {"n": 0}
+    compile_elem = core._compile_elem
+
+    def counting(t):
+        check = compile_elem(t)
+
+        def counted(v):
+            checks["n"] += 1
+            return check(v)
+
+        return counted
+
+    # Element types built from here on (the graph's edge type) count each
+    # element they check.
+    monkeypatch.setattr(core, "_compile_elem", counting)
+    edges = [(i, i + 1) for i in range(10)] + [(0, 20), (20, 21)]
+    batches = [
+        (Push((sset(es, fixed=True),)), Push((SingletonNat(4, True),)))
+        for es in (edges[:4], edges[:8], edges)
+    ]
+    trace = [TraceStep(InputBatch(b), None) for b in batches]
+    trace.append(TraceStep(InputBatch((TERMINATOR, TERMINATOR)), None))
+    res = run_trace(reachability_dynamic(0, 4), trace, RoundRobin())
+    (out,) = res.totals
+    assert out.tuples[0][0].elems == frozenset(range(11)) | {20, 21}
+    # Each edge set is checked once, when it is fed (24 checks). Rebuilding
+    # a set with the same elements keeps its memo; rechecking every push,
+    # four per set from repeat_nested, made 120.
+    assert checks["n"] <= 30
+
+
+def test_the_checked_memo_is_outside_the_value():
+    edges = set_tag(pair(INT, INT))
+    a, b = sset([(1, 2)]), sset([(1, 2)])
+    assert member(a, edges)
+    assert not member(a, set_tag(pair(INT, ElemType("bool"))))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "{(1, 2)}"
+    # new elements are checked again
+    assert not member(concat(a, Payload(sset([("x", 1)]))), edges)
