@@ -75,6 +75,14 @@ def record(cls):
     return cls
 
 
+def memo():
+    """Declare a record's cache field: ``None`` until filled, and outside
+    the constructor, equality, hashing and repr. A memo holds what a pure
+    function of the record's other fields returned, so filling it after
+    construction changes nothing the record means."""
+    return field(default=None, init=False, compare=False, hash=False, repr=False)
+
+
 # ---------------------------------------------------------------------------
 # errors
 
@@ -203,7 +211,7 @@ class ElemType:
 
     name: str
     args: tuple = ()
-    check: Callable = field(init=False, compare=False, hash=False, repr=False)
+    check: Callable = memo()
 
     def __post_init__(self):
         object.__setattr__(self, "check", _compile_elem(self))
@@ -568,9 +576,8 @@ class OperatorDef:
     ``steps_fn(buffers, state, exhaustive)`` returns every currently
     enabled step outcome; an empty list means the operator is stuck.
     ``steps_fn`` and ``rank_fn`` must be pure functions of their
-    arguments: the graph engine reuses a listed outcome instead of asking
-    again, and remembers on a node that it is stuck until its buffers or
-    state change.
+    arguments: the graph engine keeps a node's outcomes on the node and
+    never asks again for the same buffers and state.
     Deterministic operators return at most one outcome. Operators with
     internal nondeterminism order their outcomes canonically and may
     expose extra equivalent choices when ``exhaustive`` is set, for the

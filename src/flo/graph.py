@@ -15,18 +15,19 @@ move deltas between exterior buffers that the tree fixes, so
 ``compile_graph`` computes that wiring once (a ``Plan``) and a
 ``FlatGraph`` holds one ``Node`` per leaf. A step replaces one node and
 concats each emitted delta straight into its destination; no composite
-is rebuilt. ``enabled_steps`` lists the enabled steps together with the
-outcome each would apply, ``step_graph`` and ``step_first`` apply one, and
-``trajectory`` is the one run loop built on them. A node's listed
-outcomes are kept until the node object is replaced, and a node found to
-have no enabled step remembers it (see ``Node``). A tree is rebuilt only
+is rebuilt. Every function here takes a tree or a compiled graph and
+gives back the form it was given. ``enabled_steps`` lists the enabled
+steps, ``step_graph`` and ``step_first`` apply one, and ``trajectory`` is
+the one run loop built on them. ``_outcomes`` is the one place an
+operator is evaluated, and a node keeps what it returned (see ``Node``),
+so an unchanged node is never evaluated twice. A tree is rebuilt only
 when a caller asks for one.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import is_
 from typing import Callable, Optional
 
@@ -48,6 +49,7 @@ from .core import (
     bottom,
     concat,
     member,
+    memo,
     record,
     subtype,
 )
@@ -57,36 +59,28 @@ from .core import (
 # graph expressions
 
 
-# Stuckness memo, one bit per step mode (indexed by ``exhaustive``). A cache,
-# not state: it is left out of equality, hashing and repr, and it stays true
-# because operators are pure and trees are never mutated otherwise.
-_STUCK_BIT = (1, 2)
-
-
-def _memo():
-    return field(default=0, init=False, compare=False, hash=False, repr=False)
-
-
 @record
 class Node:
     buffers: tuple
     op: OperatorDef
     state: object
-    _stuck: int = _memo()
+    # The outcomes of the node's enabled steps, one list per step mode,
+    # filled by ``_outcomes``; an empty list is a stuck node. Operators are
+    # pure and a node never changes, so a filled list stays true.
+    _fast: Optional[list] = memo()
+    _full: Optional[list] = memo()
 
 
 @record
 class Seq:
     left: object
     right: object
-    _stuck: int = _memo()
 
 
 @record
 class Par:
     left: object
     right: object
-    _stuck: int = _memo()
 
 
 GraphExpr = object  # Node | Seq | Par
@@ -272,6 +266,7 @@ class Plan:
     blank: tuple  # one EMPTY per graph output
     direct: tuple  # per leaf: its output ports are the graph outputs, in order
     index: dict  # path -> leaf
+    firsts: tuple  # per leaf: StepChoice(path, 0)
     reads: tuple  # (read_defer key, leaf) in tree order
     writes: tuple  # (write_defer key, leaf) in tree order
 
@@ -325,6 +320,7 @@ def _plan(e) -> tuple:
         blank=(EMPTY,) * len(outs),
         direct=tuple(list(w) == [(-1, p) for p in range(len(outs))] for w in wires),
         index={p: i for i, p in enumerate(paths)},
+        firsts=tuple(StepChoice(p, 0) for p in paths),
         reads=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_reads),
         writes=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_writes),
     )
@@ -347,22 +343,17 @@ def _in_leaves(ins: list) -> tuple:
 class FlatGraph:
     """A compiled graph: its plan and one ``Node`` per leaf, in tree order.
 
-    It compares, hashes and prints as the tree it stands for. Two caches
-    ride along outside equality: ``_listed`` holds, per leaf, the enabled
-    choices listed with their outcomes in step mode ``_mode`` (valid until
-    that node object is replaced), and ``_base`` is the last tree known for
-    this shape, whose untouched subtrees ``tree()`` hands back as
-    themselves.
+    It compares, hashes and prints as the tree it stands for. ``_base`` is
+    the last tree known for this shape, whose untouched subtrees ``tree()``
+    hands back as themselves.
     """
 
-    __slots__ = ("plan", "nodes", "_listed", "_mode", "_base")
+    __slots__ = ("plan", "nodes", "_base")
 
-    def __init__(self, plan: Plan, nodes: tuple, base, listed=None, mode=False):
+    def __init__(self, plan: Plan, nodes: tuple, base):
         self.plan = plan
         self.nodes = nodes
         self._base = base
-        self._listed = [None] * len(nodes) if listed is None else listed
-        self._mode = mode
 
     def __eq__(self, other):
         if not isinstance(other, FlatGraph):
@@ -379,7 +370,7 @@ class FlatGraph:
 
     def tree(self):
         """The tree this stands for; subtrees whose leaves did not change
-        come back as the same objects, with their stuckness memo."""
+        come back as the same objects."""
         leaves = iter(self.nodes)
 
         def build(g):
@@ -388,23 +379,10 @@ class FlatGraph:
             left, right = build(g.left), build(g.right)
             if left is g.left and right is g.right:
                 return g
-            fresh = type(g)(left, right)
-            object.__setattr__(fresh, "_stuck", left._stuck & right._stuck)
-            return fresh
+            return type(g)(left, right)
 
         self._base = build(self._base)
         return self._base
-
-    def derive(self, nodes: list, changed):
-        """A copy holding ``nodes``, where only the leaves in ``changed`` hold
-        new node objects; every other leaf keeps its listed choices."""
-        listed = self._listed
-        if listed is None:
-            return FlatGraph(self.plan, tuple(nodes), self._base)
-        listed = listed.copy()
-        for i in changed:
-            listed[i] = None
-        return FlatGraph(self.plan, tuple(nodes), self._base, listed, self._mode)
 
 
 def compile_graph(e) -> FlatGraph:
@@ -420,56 +398,39 @@ def as_tree(e):
     return e.tree() if isinstance(e, FlatGraph) else e
 
 
+def _like(e, g: FlatGraph):
+    """``g`` in the form ``e`` was given in."""
+    return g if isinstance(e, FlatGraph) else g.tree()
+
+
 # ---------------------------------------------------------------------------
 # exterior inputs
 
 
 def inputs(e) -> tuple:
-    if isinstance(e, FlatGraph):
-        ins = ()
-        for i, _lo, _hi in e.plan.in_leaves:
-            ins += e.nodes[i].buffers
-        return ins
-    if isinstance(e, Node):
-        return e.buffers
-    if isinstance(e, Seq):
-        return inputs(e.left)
-    return inputs(e.left) + inputs(e.right)
+    g = compile_graph(e)
+    ins = ()
+    for i, _lo, _hi in g.plan.in_leaves:
+        ins += g.nodes[i].buffers
+    return ins
 
 
 def set_inputs(e, new: tuple):
     """Replace the exterior buffers. Nothing is rebuilt for a buffer that is
     the same object as before, so untouched nodes (and, on a tree,
     untouched subtrees) come back as themselves with their memo."""
-    if isinstance(e, FlatGraph):
-        if len(new) != e.plan.n_in:
-            raise ArityMismatch(f"{len(new)} values for {e.plan.n_in} inputs")
-        nodes = changed = None
-        for i, lo, hi in e.plan.in_leaves:
-            n = e.nodes[i]
-            bufs = tuple(new[lo:hi])
-            if not all(map(is_, bufs, n.buffers)):
-                if nodes is None:
-                    nodes, changed = list(e.nodes), []
-                nodes[i] = Node(bufs, n.op, n.state)
-                changed.append(i)
-        return e if nodes is None else e.derive(nodes, changed)
-    if isinstance(e, Node):
-        old = e.buffers
-        if len(new) != len(old):
-            raise ArityMismatch(f"{e.op.name}: {len(new)} values for {len(old)} buffers")
-        if all(map(is_, new, old)):
-            return e
-        return Node(tuple(new), e.op, e.state)
-    if isinstance(e, Seq):
-        left = set_inputs(e.left, new)
-        return e if left is e.left else Seq(left, e.right)
-    n_left = len(inputs(e.left))
-    if len(new) < n_left:
-        raise ArityMismatch("parallel input split underflow")
-    left = set_inputs(e.left, new[:n_left])
-    right = set_inputs(e.right, new[n_left:])
-    return e if left is e.left and right is e.right else Par(left, right)
+    g = compile_graph(e)
+    if len(new) != g.plan.n_in:
+        raise ArityMismatch(f"{len(new)} values for {g.plan.n_in} inputs")
+    nodes = None
+    for i, lo, hi in g.plan.in_leaves:
+        n = g.nodes[i]
+        bufs = tuple(new[lo:hi])
+        if not all(map(is_, bufs, n.buffers)):
+            if nodes is None:
+                nodes = list(g.nodes)
+            nodes[i] = Node(bufs, n.op, n.state)
+    return e if nodes is None else _like(e, FlatGraph(g.plan, tuple(nodes), g._base))
 
 
 # ---------------------------------------------------------------------------
@@ -480,51 +441,35 @@ def set_inputs(e, new: tuple):
 class StepChoice:
     path: tuple  # of "L"/"R", ending at a Node
     index: int  # operator-internal choice
-    # (node, exhaustive, StepResult) when the choice was listed by the
-    # engine: applying it to that same node reuses the outcome. Not part
-    # of the choice's identity.
-    found: Optional[tuple] = field(default=None, compare=False, hash=False, repr=False)
 
     def __str__(self):
         return f"{''.join(self.path) or '.'}#{self.index}"
 
 
-def _table(g: FlatGraph, exhaustive: bool) -> list:
-    """Per leaf, the enabled choices listed so far in this mode (None: not yet)."""
-    table = g._listed
-    if table is None or g._mode != exhaustive:
-        table = g._listed = [None] * len(g.nodes)
-        g._mode = exhaustive
-    return table
+_SET_FAST, _SET_FULL = Node._fast.__set__, Node._full.__set__  # the memo slots' stores
 
 
-def _list(g: FlatGraph, table: list, i: int, exhaustive: bool):
-    """Evaluate leaf ``i`` and list its enabled choices, each carrying its
-    outcome. A node found to have none is marked stuck for this mode."""
-    n = g.nodes[i]
-    bit = _STUCK_BIT[exhaustive]
-    listed = ()
-    if not n._stuck & bit:
-        outcomes = n.op.steps(n.buffers, n.state, exhaustive)
-        if outcomes:
-            path, listed = g.plan.paths[i], []
-            for k, r in enumerate(outcomes):
-                listed.append(StepChoice(path, k, (n, exhaustive, r)))
-        else:
-            object.__setattr__(n, "_stuck", n._stuck | bit)
-    table[i] = listed
-    return listed
+def _outcomes(n: Node, exhaustive: bool) -> list:
+    """The outcome of each enabled step of ``n`` in one step mode. The only
+    place an operator is evaluated: the first call fills the node's memo."""
+    if exhaustive:
+        out = n._full
+        if out is None:
+            out = n.op.steps(n.buffers, n.state, True)
+            _SET_FULL(n, out)
+    else:
+        out = n._fast
+        if out is None:
+            out = n.op.steps(n.buffers, n.state, False)
+            _SET_FAST(n, out)
+    return out
 
 
 def _advance(g: FlatGraph, i: int, r):
     """Replace leaf ``i`` by outcome ``r`` and concat each non-EMPTY delta
-    straight into its destination; returns (graph', output deltas). Every
-    other leaf keeps its node and its listed choices."""
-    plan, nodes, listed = g.plan, list(g.nodes), g._listed
+    straight into its destination; returns (graph', output deltas)."""
+    plan, nodes = g.plan, list(g.nodes)
     nodes[i] = Node(r.buffers, nodes[i].op, r.state)
-    if listed is not None:
-        listed = listed.copy()
-        listed[i] = None
     if plan.direct[i]:
         deltas = r.deltas
     else:
@@ -542,44 +487,35 @@ def _advance(g: FlatGraph, i: int, r):
             fed = concat(buf, d)
             if fed is not buf:  # a fixed buffer absorbs the delta and stays as it is
                 nodes[j] = Node(dest.buffers[:b] + (fed,) + dest.buffers[b + 1:], dest.op, dest.state)
-                if listed is not None:
-                    listed[j] = None
         deltas = plan.blank if outs is None else tuple(outs)
-    return FlatGraph(plan, tuple(nodes), g._base, listed, g._mode), deltas
+    return FlatGraph(plan, tuple(nodes), g._base), deltas
 
 
 def enabled_steps(e, exhaustive: bool = False) -> list:
-    """Every applicable step, identified by node path and choice index.
-
-    Each choice carries the outcome it would apply, so ``step_graph`` on
-    the same graph does not evaluate the operator a second time.
-    """
-    g = e if isinstance(e, FlatGraph) else compile_graph(e)
-    table = _table(g, exhaustive)
-    out: list = []
-    for i, listed in enumerate(table):
-        out += _list(g, table, i, exhaustive) if listed is None else listed
+    """Every applicable step, identified by node path and choice index."""
+    g = compile_graph(e)
+    plan, out = g.plan, []
+    for i, n in enumerate(g.nodes):
+        rs = _outcomes(n, exhaustive)
+        if rs:
+            out.append(plan.firsts[i])
+            if len(rs) > 1:
+                out += [StepChoice(plan.paths[i], k) for k in range(1, len(rs))]
     return out
 
 
 def step_graph(e, choice: StepChoice, exhaustive: bool = False):
     """Apply one chosen step; returns (graph', output deltas, rule chain),
     with graph' in the form ``e`` was given in."""
-    g = e if isinstance(e, FlatGraph) else compile_graph(e)
+    g = compile_graph(e)
     i = g.plan.index.get(choice.path)
     if i is None:
         raise InvalidChoice(f"path {''.join(choice.path) or '.'} does not end at an operator node")
-    found = choice.found
-    if found is None or found[0] is not g.nodes[i] or found[1] != exhaustive:
-        table = _table(g, exhaustive)
-        listed = table[i]
-        if listed is None:
-            listed = _list(g, table, i, exhaustive)
-        if choice.index >= len(listed):
-            raise InvalidChoice(f"{g.nodes[i].op.name}: choice {choice.index} of {len(listed)}")
-        found = listed[choice.index].found
-    g2, deltas = _advance(g, i, found[2])
-    return (g2 if e is g else g2.tree()), deltas, g.plan.rules[i]
+    rs = _outcomes(g.nodes[i], exhaustive)
+    if choice.index >= len(rs):
+        raise InvalidChoice(f"{g.nodes[i].op.name}: choice {choice.index} of {len(rs)}")
+    g2, deltas = _advance(g, i, rs[choice.index])
+    return _like(e, g2), deltas, g.plan.rules[i]
 
 
 def step_first(e):
@@ -588,16 +524,12 @@ def step_first(e):
     Returns (graph', deltas, rules, choice) or None when stuck. Sound for
     any confluent graph; the explorer covers the remaining schedules.
     """
-    g = e if isinstance(e, FlatGraph) else compile_graph(e)
-    table = g._listed
-    if table is None or g._mode:
-        table = _table(g, False)
-    for i, listed in enumerate(table):
-        if listed is None:
-            listed = _list(g, table, i, False)
-        if listed:
-            g2, deltas = _advance(g, i, listed[0].found[2])
-            return (g2 if e is g else g2.tree()), deltas, g.plan.rules[i], listed[0]
+    g = compile_graph(e)
+    for i, n in enumerate(g.nodes):
+        rs = _outcomes(n, False)
+        if rs:
+            g2, deltas = _advance(g, i, rs[0])
+            return _like(e, g2), deltas, g.plan.rules[i], g.plan.firsts[i]
     return None
 
 
@@ -635,8 +567,8 @@ def run_steps(e, outputs: tuple, picker=None, cap=None, log=None, iteration=None
     """Follow ``trajectory``, folding emissions into the outputs and logging
     every step; returns (graph, outputs, steps taken), with the graph in
     the form ``e`` was given in."""
-    g, steps = e, 0
-    for g, deltas, rules, choice in trajectory(e, picker, cap):
+    g, steps = compile_graph(e), 0
+    for g, deltas, rules, choice in trajectory(g, picker, cap):
         outputs = apply_outputs(outputs, deltas)
         if log is not None:
             entry = {"path": "".join(choice.path), "choice": choice.index, "rules": list(rules)}
@@ -644,9 +576,7 @@ def run_steps(e, outputs: tuple, picker=None, cap=None, log=None, iteration=None
                 entry["iter"] = iteration
             log.append(entry)
         steps += 1
-    if g is not e and not isinstance(e, FlatGraph):
-        g = g.tree()  # the caller gave a tree
-    return g, outputs, steps
+    return _like(e, g), outputs, steps
 
 
 def run_to_stuck(
@@ -711,7 +641,7 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
         g, outs = cfg
         choices = enabled_steps(g, exhaustive=True)
         if not choices:
-            stuck.append((g if e is start[0] else g.tree(), outs))
+            stuck.append((_like(e, g), outs))
             continue
         for ch in choices:
             g2, deltas, _rules = step_graph(g, ch, exhaustive=True)
@@ -722,9 +652,8 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
                 capped = True
                 continue
             seen.add(nxt)
-            parents[nxt] = (cfg, StepChoice(ch.path, ch.index))
+            parents[nxt] = (cfg, ch)
             queue.append(nxt)
-        g._listed = None  # expanded: its children hold the outcomes they share
     return ExploreResult(stuck=stuck, visited=len(seen), capped=capped, parents=parents)
 
 
@@ -742,7 +671,7 @@ def graph_rank(e) -> Rank:
     padded with zeros; a longer one raises RankViolation.
     """
     comps: list = []
-    for g in e.nodes if isinstance(e, FlatGraph) else _leaves(e, []):
+    for g in compile_graph(e).nodes:
         r = g.op.rank(g.buffers, g.state).components
         arity = g.op.rank_arity
         if len(r) > arity:
@@ -751,15 +680,6 @@ def graph_rank(e) -> Rank:
             )
         comps.extend(r + (0,) * (arity - len(r)))
     return Rank(tuple(comps))
-
-
-def _leaves(e, out: list) -> list:
-    if isinstance(e, Node):
-        out.append(e)
-    else:
-        _leaves(e.left, out)
-        _leaves(e.right, out)
-    return out
 
 
 def budget_message(budget: int, steps: int, e) -> str:

@@ -54,7 +54,9 @@ from .core import (
 )
 from .graph import (
     DeferContexts,
+    FlatGraph,
     Node,
+    _like,
     compile_graph,
     enabled_steps,
     graph_rank,
@@ -286,8 +288,7 @@ def set_defer(e, values: dict):
         if key not in values:
             raise MissingKey(f"no deferred value for read_defer key {key!r}")
         nodes[i] = Node(nodes[i].buffers, nodes[i].op, ReadDeferState(values[key]))
-    g = flat.derive(nodes, [i for _key, i in flat.plan.reads])
-    return g if e is flat else g.tree()
+    return _like(e, FlatGraph(flat.plan, tuple(nodes), flat._base))
 
 
 def _collect_declared(e, reads: dict, writes: dict):
@@ -351,18 +352,13 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
     in_tag = nested_tag(gt.inputs)
     out_tag = nested_tag(gt.outputs)
     bottoms = tuple(bottom(st.collection) for st in gt.outputs)
-    g_rank_arity = len(graph_rank(g).components)
+    first = compile_graph(g)
+    template = first if original is g else compile_graph(original)
+    g_rank_arity = len(graph_rank(first).components)
     if params is None:
         params = {"bound": outer_bound.value, "graph": g}
         if g_o is not None:
             params["copy"] = g_o
-    compiled: list = []  # g and the template, compiled on the first step
-
-    def first_and_template():
-        if not compiled:
-            first = compile_graph(g)
-            compiled.extend((first, first if original is g else compile_graph(original)))
-        return compiled
 
     def steps(buffers, state, exhaustive):
         (v,) = buffers
@@ -370,7 +366,7 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
             return []
         if state.phase == BEFORE:
             if v.tuples:
-                running = NestState(RUNNING_PHASE, first_and_template()[0], bottoms)
+                running = NestState(RUNNING_PHASE, first, bottoms)
                 return [StepResult(buffers, running, (Push(bottoms),), "nest-first")]
             if v.terminated:
                 done = NestState(DONE_PHASE, g, ())
@@ -379,7 +375,7 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
         if not v.tuples:
             return []
         # Returns state.current itself while it still holds the oldest tuple,
-        # which run_graph below keeps true, so its listed outcomes carry over.
+        # which run_graph below keeps true, so its nodes keep their outcomes.
         synced = set_inputs(compile_graph(state.current), v.tuples[-1])
 
         def run_graph(stepped, deltas):
@@ -406,7 +402,7 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
             harvested = collect_defer(synced)
             if not all(is_fixed(x) for x in harvested.values()):
                 return []
-            nxt = set_defer(first_and_template()[1], harvested)
+            nxt = set_defer(template, harvested)
             v2 = NestedSeqValue(v.terminated, v.tuples[:-1], v.inner_types)
             return [
                 StepResult(

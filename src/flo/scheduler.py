@@ -101,7 +101,7 @@ class _ScriptedPicker:
         if c not in choices:
             raise InvalidChoice(f"scripted choice {c} is not enabled")
         self.pos += 1
-        return choices[choices.index(c)]  # the listed choice carries its outcome
+        return c
 
 
 def make_picker(sched):

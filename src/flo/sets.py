@@ -9,8 +9,6 @@ that drive nested graphs.
 
 from __future__ import annotations
 
-from dataclasses import field
-
 from .core import (
     ANY,
     B,
@@ -36,6 +34,7 @@ from .core import (
     U,
     bottom,
     is_fixed,
+    memo,
     pair,
     record,
     register_language,
@@ -52,7 +51,7 @@ class SetValue:
     # The element type ``elems`` last passed ``member`` at. A cache, not
     # part of the value: equality, hashing and repr ignore it, and it stays
     # true because ``elems`` never changes.
-    _checked: object = field(default=None, init=False, compare=False, hash=False, repr=False)
+    _checked: object = memo()
 
     lang = "set"
 

@@ -1,4 +1,4 @@
-"""The step engine: outcome reuse, the stuckness memo, and what they must not change."""
+"""The step engine: outcome reuse, the outcome memo, and what they must not change."""
 
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from flo.graph import (
     Node,
     Par,
     StepChoice,
+    compile_graph,
     enabled_steps,
     explore_all,
     node,
@@ -122,6 +123,32 @@ def test_chosen_step_reuses_its_listed_outcome(op_calls):
     assert op_calls["n"] == before
 
 
+def test_a_node_is_evaluated_once_per_step_mode(op_calls):
+    def map_scan():
+        g = seq_chain(node(seq_map("inc", INT, INT)), node(scan(0, "add", INT, INT)))
+        return set_inputs(g, (seq(1, 2),))
+
+    # Listing the same tree twice, or stepping it through a fresh compiled
+    # graph, reuses the outcomes its nodes keep.
+    tree = map_scan()
+    counts = []
+    for _ in range(2):
+        assert enabled_steps(tree) == [StepChoice(("L",), 0)]
+        counts.append(op_calls["n"])
+    step_first(compile_graph(tree))
+    counts.append(op_calls["n"])
+    assert counts == [2, 2, 2]
+    # A list made in one step mode does not answer for the other: after an
+    # exhaustive listing, each node is evaluated once more in fast mode.
+    tree, before = map_scan(), op_calls["n"]
+    enabled_steps(tree, exhaustive=True)
+    assert op_calls["n"] - before == 2
+    for _ in range(2):
+        enabled_steps(tree)
+        step_first(compile_graph(tree))
+    assert op_calls["n"] - before == 4
+
+
 def test_a_choice_listed_on_another_graph_is_re_evaluated():
     g1 = node(seq_map("inc", INT, INT), (seq(1),))
     g2 = node(seq_map("inc", INT, INT), (seq(5),))
@@ -155,7 +182,8 @@ def test_memo_leaves_equality_hash_and_repr_alone():
     g = set_inputs(map_filter_scan(), (seq(1, 2),))
     done, _, _ = run_to_stuck(g, (SeqValue(False, ()),))
     fresh = rebuild(done)
-    assert done._stuck and done.right._stuck and not fresh._stuck
+    leaf, fresh_leaf = done.right.right, fresh.right.right
+    assert leaf._fast == [] and fresh_leaf._fast is None and fresh_leaf._full is None
     assert done == fresh and hash(done) == hash(fresh) and repr(done) == repr(fresh)
     assert len({done, fresh}) == 1
 

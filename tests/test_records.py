@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import flo
-from flo.core import record
+from flo.core import memo, record
 
 
 def _flo_classes():
@@ -95,13 +95,13 @@ def _sample(f, k):
 
 
 def _state(obj):
-    """Every field the constructor sets (``ElemType.check`` is set by its
-    ``__post_init__``, a fresh function each time), and the repr."""
+    """Every field, with a memo read only as filled or not (``ElemType``'s
+    ``__post_init__`` fills ``check`` with a fresh function each time), and
+    the repr."""
     return (
         tuple(
-            getattr(obj, f.name)
+            getattr(obj, f.name) if f.compare else getattr(obj, f.name) is None
             for f in dataclasses.fields(obj)
-            if f.init or f.default is not dataclasses.MISSING
         ),
         repr(obj),
     )
@@ -138,12 +138,32 @@ def test_records_stay_frozen_and_memos_start_at_defaults(cls):
     params = [f for f in dataclasses.fields(cls) if f.init]
     obj = cls(*[_sample(f, 0) for f in params])
     for f in dataclasses.fields(cls):
-        if not f.init and f.default is not dataclasses.MISSING:
-            assert getattr(obj, f.name) == f.default
+        if not f.init and not hasattr(cls, "__post_init__"):
+            assert getattr(obj, f.name) is None
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, f.name, _sample(f, 1))
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(obj, f.name)
+
+
+MEMO = memo()
+PLAIN_FIELD = dataclasses.field()
+
+
+def _options(f):
+    return (f.default, f.init, f.repr, f.hash, f.compare)
+
+
+def test_every_cache_field_is_declared_by_memo():
+    # A field that leaves the constructor, equality, hashing or repr is a
+    # cache, and a cache is declared one way, so none can enter any of them.
+    memos = set()
+    for cls in RECORDS:
+        for f in dataclasses.fields(cls):
+            if _options(f)[1:] != _options(PLAIN_FIELD)[1:]:
+                assert _options(f) == _options(MEMO), f"{_name(cls)}.{f.name}"
+                memos.add(f"{_name(cls)}.{f.name}")
+    assert {"flo.graph.Node._fast", "flo.sets.SetValue._checked", "flo.core.ElemType.check"} <= memos
 
 
 def test_record_runs_post_init_and_keeps_an_explicit_hash():
