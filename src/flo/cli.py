@@ -81,8 +81,8 @@ def cmd_run(args) -> int:
     result = run_trace(graph, trace, sched, drain_seed=args.seed)
     if args.log:
         with open(args.log, "w") as fh:
-            for entry in result.log:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            for ev in result.log:
+                fh.write(json.dumps(ev.as_dict(), sort_keys=True) + "\n")
     _emit({"outputs": [encode_value(v) for v in result.totals]})
     return 0
 

@@ -8,7 +8,9 @@ immutable; every step produces a fresh tree, which makes speculative
 exploration of schedules safe.
 
 Step rules carry their names (sequence-left, sequence-right, par-left,
-par-right, operator) so event logs can be replayed and audited.
+par-right, operator) so event logs can be replayed and audited. A log
+entry is a ``StepEvent`` record; ``run_steps`` interns one per choice
+taken in a call, so a log holds one pointer per step.
 
 Trees are the syntax; stepping runs on a compiled form. The rules only
 move deltas between exterior buffers that the tree fixes, so
@@ -17,11 +19,12 @@ move deltas between exterior buffers that the tree fixes, so
 concats each emitted delta straight into its destination; no composite
 is rebuilt. Every function here takes a tree or a compiled graph and
 gives back the form it was given. ``enabled_steps`` lists the enabled
-steps, ``step_graph`` and ``step_first`` apply one, and ``trajectory`` is
-the one run loop built on them. ``_outcomes`` is the one place an
-operator is evaluated, and a node keeps what it returned (see ``Node``),
-so an unchanged node is never evaluated twice. A tree is rebuilt only
-when a caller asks for one.
+steps, ``step_graph`` and ``step_first`` apply one, ``trajectory`` is
+the one run loop built on them, and ``run_steps`` folds it into outputs
+and the log. ``_outcomes`` is the one place an operator is evaluated,
+and a node keeps what it returned (see ``Node``), so an unchanged node
+is never evaluated twice. A tree is rebuilt only when a caller asks for
+one.
 """
 
 from __future__ import annotations
@@ -563,18 +566,37 @@ def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
         steps += 1
 
 
+@record
+class StepEvent:
+    """One logged step. Events are values, so a log holds one shared event
+    per choice taken in a ``run_steps`` call, not one object per step."""
+
+    iteration: Optional[int]  # the event-loop iteration, or None outside the loop
+    path: str  # the leaf's path label, such as "LR"
+    choice: int  # operator-internal choice index
+    rules: tuple  # the plan's rule chain, outermost first
+
+    def as_dict(self) -> dict:
+        """The JSON form of one ``--log`` line."""
+        entry = {"path": self.path, "choice": self.choice, "rules": list(self.rules)}
+        if self.iteration is not None:
+            entry["iter"] = self.iteration
+        return entry
+
+
 def run_steps(e, outputs: tuple, picker=None, cap=None, log=None, iteration=None):
     """Follow ``trajectory``, folding emissions into the outputs and logging
-    every step; returns (graph, outputs, steps taken), with the graph in
-    the form ``e`` was given in."""
+    every step as a ``StepEvent``; returns (graph, outputs, steps taken),
+    with the graph in the form ``e`` was given in."""
     g, steps = compile_graph(e), 0
+    events: dict = {}  # StepChoice -> its event; one plan runs here, so the choice fixes the rules
     for g, deltas, rules, choice in trajectory(g, picker, cap):
         outputs = apply_outputs(outputs, deltas)
         if log is not None:
-            entry = {"path": "".join(choice.path), "choice": choice.index, "rules": list(rules)}
-            if iteration is not None:
-                entry["iter"] = iteration
-            log.append(entry)
+            ev = events.get(choice)
+            if ev is None:
+                ev = events[choice] = StepEvent(iteration, "".join(choice.path), choice.index, rules)
+            log.append(ev)
         steps += 1
     return _like(e, g), outputs, steps
 

@@ -426,10 +426,16 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
             len(v.tuples) + (0 if state.phase == DONE_PHASE else 1),
             1 if state.phase == BEFORE else 0,
         ]
-        if state.phase == RUNNING_PHASE and v.tuples:
-            synced = set_inputs(state.current, v.tuples[-1])
-        else:
-            synced = state.current
+        synced = state.current
+        if state.phase != RUNNING_PHASE:
+            # current is the tree g or original, which first and template
+            # already hold compiled.
+            if synced is g:
+                synced = first
+            elif synced is original:
+                synced = template
+        elif v.tuples:
+            synced = set_inputs(synced, v.tuples[-1])
         return Rank(tuple(head) + graph_rank(synced).components)
 
     return OperatorDef(

@@ -208,7 +208,7 @@ class RunResult:
     config: LoopConfig
     drained: list  # per iteration, tuple of (value or None)
     totals: tuple  # recombined totals including the final remainder
-    log: list
+    log: list  # one graph.StepEvent per step, shared between equal steps of an iteration
 
 
 def _run_steps(graph, outputs, picker, budget, log, iteration):

@@ -68,7 +68,7 @@ def test_compiled_engine_matches_reference(name, sched):
         flat_log, tree_log = [], []
         got = _outcome(lambda: run_steps(flat, flat_outs, pick_flat, cap, flat_log, iteration)[:2])
         want = _outcome(lambda: ref.run_steps(tree, tree_outs, pick_tree, cap, tree_log, iteration))
-        assert flat_log == tree_log
+        assert [ev.as_dict() for ev in flat_log] == tree_log
         if isinstance(want[0], str):
             assert got == want
             return

@@ -1,9 +1,11 @@
 """The step engine: outcome reuse, the outcome memo, and what they must not change."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from flo import scheduler
 from flo.cli import main
 from flo.core import (
     ANY,
@@ -25,9 +27,12 @@ from flo.core import (
     pair,
 )
 from flo.graph import (
+    FlatGraph,
     Node,
     Par,
     StepChoice,
+    StepEvent,
+    apply_outputs,
     compile_graph,
     enabled_steps,
     explore_all,
@@ -38,10 +43,11 @@ from flo.graph import (
     set_inputs,
     step_first,
     step_graph,
+    trajectory,
 )
 from flo.harness import OpCase, check_determinism, check_rank_and_preservation
 from flo.programs import five_node_graph, reachability_dynamic
-from flo.scheduler import InputBatch, RoundRobin, TraceStep, run_trace
+from flo.scheduler import InputBatch, RandomSched, RoundRobin, TraceStep, run_trace
 from flo.seq import SeqValue, SingletonNat, scan, seq, seq_filter, seq_map, seq_tag
 from flo.sets import sset
 
@@ -216,6 +222,82 @@ def test_step_choices_compare_without_their_outcome():
     (listed,) = enabled_steps(g)
     assert listed == StepChoice((), 0) and hash(listed) == hash(StepChoice((), 0))
     assert repr(listed) == repr(StepChoice((), 0))
+
+
+# ---------------------------------------------------------------------------
+# the event log
+
+
+def test_event_log_shares_one_event_per_choice_and_iteration():
+    trace = [
+        TraceStep(InputBatch((Payload(seq(*range(i, i + 500))),)), None) for i in range(0, 20_000, 500)
+    ]
+    tracemalloc.start()
+    try:
+        res = run_trace(map_filter_scan(), trace, RoundRobin())
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.log) == 59_998
+    # One event per (leaf, choice) taken in an iteration: three leaves, one
+    # choice each, forty iterations.
+    assert len(set(map(id, res.log))) <= 3 * 40
+    # A fresh dict per step retained 324 bytes; a shared event costs the
+    # log's pointer to it.
+    assert retained / len(res.log) < 64
+
+
+def dict_run_steps(e, outputs, picker=None, cap=None, log=None, iteration=None):
+    """``run_steps`` logging a fresh ``--log`` dict per step, built straight
+    from what ``trajectory`` yields."""
+    g, steps = compile_graph(e), 0
+    for g, deltas, rules, choice in trajectory(g, picker, cap):
+        outputs = apply_outputs(outputs, deltas)
+        if log is not None:
+            entry = {"path": "".join(choice.path), "choice": choice.index, "rules": list(rules)}
+            if iteration is not None:
+                entry["iter"] = iteration
+            log.append(entry)
+        steps += 1
+    return g if isinstance(e, FlatGraph) else g.tree(), outputs, steps
+
+
+def seq_batches():
+    return [TraceStep(InputBatch((Payload(seq(*range(i, i + 5))),)), None) for i in range(0, 40, 5)]
+
+
+def reach_batches():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)]
+    trace = [
+        TraceStep(InputBatch((Push((sset(edges[:n], fixed=True),)), Push((SingletonNat(k, True),)))), None)
+        for n, k in ((2, 1), (4, 3), (5, 2))
+    ]
+    return trace + [TraceStep(InputBatch((TERMINATOR, TERMINATOR)), None)]
+
+
+@pytest.mark.parametrize(
+    "make,batches,sched",
+    [
+        (map_filter_scan, seq_batches, RoundRobin()),
+        (lambda: reachability_dynamic(0, 3), reach_batches, RandomSched(3)),
+    ],
+    ids=["map_filter_scan-roundrobin", "reachability_dynamic-random"],
+)
+def test_run_trace_event_as_dict_is_the_per_step_dict(monkeypatch, make, batches, sched):
+    events = run_trace(make(), batches(), sched).log
+    monkeypatch.setattr(scheduler, "run_steps", dict_run_steps)
+    dicts = run_trace(make(), batches(), sched).log
+    assert all(isinstance(ev, StepEvent) for ev in events)
+    assert len({ev.path for ev in events}) > 1
+    assert [ev.as_dict() for ev in events] == dicts
+
+
+def test_run_to_stuck_events_have_no_iteration():
+    g = set_inputs(map_filter_scan(), (seq(1, 2, 3),))
+    log: list = []
+    run_to_stuck(g, tuple(bottom(st.collection) for st in out_types(g)), log=log)
+    assert log and all(ev.iteration is None and "iter" not in ev.as_dict() for ev in log)
+    assert log[0].as_dict() == {"path": "L", "choice": 0, "rules": ["sequence-left", "operator"]}
 
 
 # ---------------------------------------------------------------------------

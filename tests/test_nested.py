@@ -189,6 +189,31 @@ class TestNestRuns:
         assert out.tuples == ((SeqValue(False, ()),),)
 
 
+class TestNestRank:
+    def test_rank_outside_a_run_does_not_recompile(self, monkeypatch):
+        from flo import graph
+        from flo.graph import compile_graph, graph_rank, run_to_stuck
+        from flo.nested import BEFORE, DONE_PHASE
+
+        def inner():
+            return seq_chain(node(seq_map("inc", INT, INT, B)), node(fold(0, "add", INT, INT)))
+
+        # A separate template, so a run ends on it rather than on the first graph.
+        op = make_nest(inner(), inner(), outer_bound=U)
+        before = node(op)
+        ran = run_to_stuck(node(op, (nv(((SeqValue(True, (2, 1)),),), terminated=True),)), (nv(()),))[0]
+        closed = run_to_stuck(node(op, (nv((), terminated=True),)), (nv(()),))[0]
+        assert before.state.phase == BEFORE
+        assert ran.state.phase == closed.state.phase == DONE_PHASE
+        graphs = [compile_graph(n) for n in (before, ran, closed)]
+        want = [graph_rank(g) for g in graphs]
+        calls = []
+        plan = graph._plan
+        monkeypatch.setattr(graph, "_plan", lambda e: calls.append(e) or plan(e))
+        assert [graph_rank(g) for g in graphs] == want
+        assert calls == []
+
+
 class TestReachability:
     def edges(self):
         return ((0, 1), (1, 2), (2, 3))

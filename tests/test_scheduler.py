@@ -4,7 +4,7 @@ import pytest
 
 from flo import scheduler
 from flo.core import Payload, StepBudgetExceeded, TERMINATOR
-from flo.graph import inputs, node, run_to_stuck
+from flo.graph import StepEvent, inputs, node, run_to_stuck
 from flo.programs import fold_pipeline, scan_pipeline
 from flo.scheduler import (
     DrainAll,
@@ -121,8 +121,8 @@ def test_empty_trace_empty_outputs():
 def test_event_log_records_rules():
     res = run_trace(fold_pipeline(), fold_trace())
     assert res.log, "steps should be logged"
-    assert all("rules" in entry and "path" in entry for entry in res.log)
-    assert res.log[0]["rules"] == ["operator"]
+    assert all(isinstance(ev, StepEvent) for ev in res.log)
+    assert res.log[0].rules == ("operator",)
 
 
 def test_hundred_seeds_identical_totals():
