@@ -12,10 +12,14 @@ par-right, operator) so event logs can be replayed and audited. A log
 entry is a ``StepEvent`` record; ``run_steps`` interns one per choice
 taken in a call, so a log holds one pointer per step.
 
-Trees are the syntax; stepping runs on a compiled form. The rules only
-move deltas between exterior buffers that the tree fixes, so
+Trees are the syntax; typing and stepping run on a compiled form. The
+rules only move deltas between exterior buffers that the tree fixes, so
 ``compile_graph`` computes that wiring once (a ``Plan``) and a
-``FlatGraph`` holds one ``Node`` per leaf. A step replaces one node and
+``FlatGraph`` holds one ``Node`` per leaf. ``_plan`` is the one walk of a
+tree and ``FlatGraph.tree`` the one rebuild; both use an explicit stack,
+and the typechecker and the type queries read the plan, so a graph may
+be far deeper than the interpreter's recursion limit. (Comparing, hashing
+or printing two trees still recurses.) A step replaces one node and
 concats each emitted delta straight into its destination; no composite
 is rebuilt. Every function here takes a tree or a compiled graph and
 gives back the form it was given. ``enabled_steps`` lists the enabled
@@ -99,48 +103,36 @@ def node(op: OperatorDef, buffers: Optional[tuple] = None) -> Node:
 
 
 def seq_chain(*graphs) -> GraphExpr:
-    """Right-nested sequential composition of two or more graphs."""
-    if not graphs:
-        raise ArityMismatch("empty sequential composition")
-    if len(graphs) == 1:
-        return graphs[0]
-    return Seq(graphs[0], seq_chain(*graphs[1:]))
+    """Right-nested sequential composition of one or more graphs."""
+    return _nest_right(Seq, graphs, "sequential")
 
 
 def par(*graphs) -> GraphExpr:
+    """Right-nested parallel composition of one or more graphs."""
+    return _nest_right(Par, graphs, "parallel")
+
+
+def _nest_right(kind, graphs, what):
     if not graphs:
-        raise ArityMismatch("empty parallel composition")
-    if len(graphs) == 1:
-        return graphs[0]
-    return Par(graphs[0], par(*graphs[1:]))
+        raise ArityMismatch(f"empty {what} composition")
+    g = graphs[-1]
+    for left in reversed(graphs[:-1]):
+        g = kind(left, g)
+    return g
 
 
 def in_types(e) -> tuple:
-    if isinstance(e, Node):
-        return e.op.inputs
-    if isinstance(e, Seq):
-        return in_types(e.left)
-    return in_types(e.left) + in_types(e.right)
+    g = compile_graph(e)
+    return tuple(st for i, _lo, _hi in g.plan.in_leaves for st in g.nodes[i].op.inputs)
 
 
 def out_types(e) -> tuple:
-    if isinstance(e, Node):
-        return e.op.outputs
-    if isinstance(e, Seq):
-        return out_types(e.right)
-    return out_types(e.left) + out_types(e.right)
+    g = compile_graph(e)
+    return tuple(g.nodes[i].op.outputs[p] for i, p in g.plan.outs)
 
 
 def out_arity(e) -> int:
-    return len(out_types(e))
-
-
-def describe(e) -> str:
-    if isinstance(e, Node):
-        return e.op.name
-    if isinstance(e, Seq):
-        return f"({describe(e.left)};{describe(e.right)})"
-    return f"({describe(e.left)}|{describe(e.right)})"
+    return len(compile_graph(e).plan.outs)
 
 
 # ---------------------------------------------------------------------------
@@ -166,84 +158,72 @@ class DeferContexts:
     writes: tuple = ()
 
 
-def _collect_write_keys(e, pos, acc):
-    if isinstance(e, Node):
-        for key, tag in e.op.defer_writes:
-            acc.append((key, tag, pos))
-    else:
-        _collect_write_keys(e.left, pos + ".L", acc)
-        _collect_write_keys(e.right, pos + ".R", acc)
+def _pos(path: tuple) -> str:
+    """A position as errors name it: ``root`` plus the path."""
+    return "root" + "".join("." + step for step in path)
 
 
 def typecheck(e, ctx: Optional[DeferContexts] = None) -> GraphType:
     """Derive the unique graph type or raise a GraphTypeError.
 
-    The write context is linear: the set of write_defer keys in the tree
-    must exactly match the provided context, each used once. At a
-    top-level graph both contexts are empty.
+    Reads the compiled plan: the write keys, each leaf, then each wire from
+    a leaf's output port to a buffer. The write context is linear: the set
+    of write_defer keys in the graph must exactly match the provided
+    context, each used once. At a top-level graph both contexts are empty.
     """
+    g = compile_graph(e)
+    plan, nodes = g.plan, g.nodes
     ctx = ctx or DeferContexts()
     reads = dict(ctx.reads)
     writes = dict(ctx.writes)
 
-    used: list = []
-    _collect_write_keys(e, "root", used)
     seen = {}
-    for key, tag, pos in used:
-        if key in seen:
-            raise DeferKeyReusedOrUnused(f"defer key {key!r} written more than once", pos)
-        seen[key] = tag
-        if key not in writes:
-            raise DeferKeyUnbound(f"write_defer key {key!r} not in context", pos)
-        if writes[key] != tag:
-            raise DeferContextMismatch(
-                f"write_defer key {key!r} has {tag}, context expects {writes[key]}", pos
-            )
+    for i, n in enumerate(nodes):
+        for key, tag in n.op.defer_writes:
+            pos = _pos(plan.paths[i])
+            if key in seen:
+                raise DeferKeyReusedOrUnused(f"defer key {key!r} written more than once", pos)
+            seen[key] = tag
+            if key not in writes:
+                raise DeferKeyUnbound(f"write_defer key {key!r} not in context", pos)
+            if writes[key] != tag:
+                raise DeferContextMismatch(
+                    f"write_defer key {key!r} has {tag}, context expects {writes[key]}", pos
+                )
     unused = set(writes) - set(seen)
     if unused:
         raise DeferKeyReusedOrUnused(f"write context keys never used: {sorted(unused)}")
 
-    def ty(g, pos):
-        if isinstance(g, Node):
-            op = g.op
-            for key, tag in op.defer_reads:
-                if key not in reads:
-                    raise DeferKeyUnbound(f"read_defer key {key!r} not in context", pos)
-                if reads[key] != tag:
-                    raise DeferContextMismatch(
-                        f"read_defer key {key!r} has {tag}, context expects {reads[key]}", pos
-                    )
-            if len(g.buffers) != len(op.inputs):
-                raise ArityMismatch(f"{op.name}: buffer arity", pos)
-            for i, (buf, st) in enumerate(zip(g.buffers, op.inputs)):
-                if not member(buf, st.collection):
-                    raise BufferTypeMismatch(
-                        f"{op.name}: buffer {i} is not a {st.collection}", pos
-                    )
-            return GraphType(op.inputs, op.outputs)
-        if isinstance(g, Seq):
-            t1 = ty(g.left, pos + ".L")
-            t2 = ty(g.right, pos + ".R")
-            if len(t1.outputs) != len(t2.inputs):
-                raise ArityMismatch(
-                    f"{len(t1.outputs)} outputs feed {len(t2.inputs)} inputs", pos
+    for i, n in enumerate(nodes):
+        op = n.op
+        for key, tag in op.defer_reads:
+            if key not in reads:
+                raise DeferKeyUnbound(f"read_defer key {key!r} not in context", _pos(plan.paths[i]))
+            if reads[key] != tag:
+                raise DeferContextMismatch(
+                    f"read_defer key {key!r} has {tag}, context expects {reads[key]}",
+                    _pos(plan.paths[i]),
                 )
-            for i, (o, wanted) in enumerate(zip(t1.outputs, t2.inputs)):
-                if not subtype(o, wanted):
-                    target = describe(g.right) if isinstance(g.right, Node) else f"input {i}"
-                    if o.collection == wanted.collection:
-                        raise BoundednessViolation(
-                            f"{o} cannot feed {wanted} of {target}", pos
-                        )
-                    raise SubtypeMismatch(f"{o} is not a subtype of {wanted}", f"{pos}[{i}]")
-            return GraphType(t1.inputs, t2.outputs)
-        if isinstance(g, Par):
-            t1 = ty(g.left, pos + ".L")
-            t2 = ty(g.right, pos + ".R")
-            return GraphType(t1.inputs + t2.inputs, t1.outputs + t2.outputs)
-        raise GraphTypeError(f"not a graph expression: {g!r}", pos)
+        if len(n.buffers) != len(op.inputs):
+            raise ArityMismatch(f"{op.name}: buffer arity", _pos(plan.paths[i]))
+        for b, (buf, st) in enumerate(zip(n.buffers, op.inputs)):
+            if not member(buf, st.collection):
+                raise BufferTypeMismatch(
+                    f"{op.name}: buffer {b} is not a {st.collection}", _pos(plan.paths[i])
+                )
 
-    return ty(e, "root")
+    for i, n in enumerate(nodes):
+        for o, (j, b) in zip(n.op.outputs, plan.wires[i]):
+            if j < 0:
+                continue
+            dest = nodes[j].op
+            wanted = dest.inputs[b]
+            if not subtype(o, wanted):
+                pos = _pos(plan.paths[j])
+                if o.collection == wanted.collection:
+                    raise BoundednessViolation(f"{o} cannot feed {wanted} of {dest.name}", pos)
+                raise SubtypeMismatch(f"{o} is not a subtype of {wanted}", f"{pos}[{b}]")
+    return GraphType(in_types(g), out_types(g))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +240,12 @@ class Plan:
     ``(-1, port)`` for a graph output.
     """
 
-    shape: object  # leaf index, or ("S" | "P", left shape, right shape)
+    shape: tuple  # the tree's kinds (Node, Seq or Par) in post-order
     paths: tuple  # per leaf: its path, a tuple of "L"/"R"
     rules: tuple  # per leaf: the rule chain of a step there, outermost first
     wires: tuple  # per leaf, per output port: (leaf, buffer) or (-1, port)
     in_leaves: tuple  # (leaf, lo, hi): that leaf's buffers are exterior inputs lo:hi
+    outs: tuple  # the graph outputs in order, as (leaf, port)
     n_in: int  # number of exterior inputs
     blank: tuple  # one EMPTY per graph output
     direct: tuple  # per leaf: its output ports are the graph outputs, in order
@@ -274,54 +255,71 @@ class Plan:
     writes: tuple  # (write_defer key, leaf) in tree order
 
 
-_RULES = {
-    (Seq, "L"): "sequence-left",
-    (Seq, "R"): "sequence-right",
-    (Par, "L"): "par-left",
-    (Par, "R"): "par-right",
+# Per composite kind: the (path step, rule) of its left and right edges.
+_EDGES = {
+    Seq: (("L", "sequence-left"), ("R", "sequence-right")),
+    Par: (("L", "par-left"), ("R", "par-right")),
 }
 
 
 def _plan(e) -> tuple:
-    """(Plan, leaves) of a tree."""
-    leaves, paths, rules, wires = [], [], [], []
-
-    def walk(g, path, chain):
-        # Returns the subtree's shape, its exterior inputs as (leaf, buffer)
-        # pairs and its exterior outputs as (leaf, port) pairs, and wires
-        # each sequence's left outputs to its right inputs.
-        if isinstance(g, Node):
-            i = len(leaves)
-            leaves.append(g)
-            paths.append(path)
-            rules.append(chain + ("operator",))
-            wires.append([None] * len(g.op.outputs))
-            return i, [(i, b) for b in range(len(g.buffers))], [(i, p) for p in range(len(g.op.outputs))]
+    """(Plan, leaves) of a tree, in one post-order walk with an explicit
+    stack. The one place a tree's structure is worked out."""
+    leaves, paths, rules, wires, shape = [], [], [], [], []
+    # Per finished subtree: its exterior inputs as (leaf, buffer) pairs and
+    # its exterior outputs as (leaf, port) pairs.
+    done: list = []
+    # The path and rule chain of the subtree being visited; a subtree at
+    # depth d owns entries d and up, so its ancestors' stay in place.
+    path: list = []
+    chain: list = []
+    stack = [(e, 0, None, False)]  # (subtree, depth, edge into it, children done)
+    while stack:
+        g, d, edge, expanded = stack.pop()
+        if edge is not None:
+            path[d - 1:] = edge[:1]
+            chain[d - 1:] = edge[1:]
         kind = type(g)
-        if kind is not Seq and kind is not Par:
-            raise InvalidChoice(f"not a graph expression: {g!r}")
-        ls, l_in, l_out = walk(g.left, path + ("L",), chain + (_RULES[kind, "L"],))
-        rs, r_in, r_out = walk(g.right, path + ("R",), chain + (_RULES[kind, "R"],))
-        if kind is Par:
-            return ("P", ls, rs), l_in + r_in, l_out + r_out
-        if len(l_out) != len(r_in):
-            raise ArityMismatch(f"{len(l_out)} outputs feed {len(r_in)} inputs")
-        for (i, p), dest in zip(l_out, r_in):
-            wires[i][p] = dest
-        return ("S", ls, rs), l_in, r_out
-
-    shape, ins, outs = walk(e, (), ())
-    for port, (i, p) in enumerate(outs):
-        wires[i][p] = (-1, port)
+        if kind is Node:
+            i, n_out = len(leaves), len(g.op.outputs)
+            leaves.append(g)
+            paths.append(tuple(path))
+            rules.append((*chain, "operator"))
+            wires.append([None] * n_out)
+            shape.append(Node)
+            done.append(([(i, b) for b in range(len(g.buffers))], [(i, p) for p in range(n_out)]))
+        elif kind not in _EDGES:
+            raise GraphTypeError(f"not a graph expression: {g!r}", _pos(path))
+        elif not expanded:
+            left, right = _EDGES[kind]
+            stack += ((g, d, None, True), (g.right, d + 1, right, False), (g.left, d + 1, left, False))
+        else:
+            shape.append(kind)
+            r_in, r_out = done.pop()
+            l_in, l_out = done.pop()
+            if kind is Par:
+                done.append((l_in + r_in, l_out + r_out))
+                continue
+            # A sequence wires its left outputs to its right inputs.
+            if len(l_out) != len(r_in):
+                raise ArityMismatch(f"{len(l_out)} outputs feed {len(r_in)} inputs", _pos(path[:d]))
+            for (i, p), dest in zip(l_out, r_in):
+                wires[i][p] = dest
+            done.append((l_in, r_out))
+    ((ins, outs),) = done
+    graph_outs = [(-1, port) for port in range(len(outs))]
+    for (i, p), dest in zip(outs, graph_outs):
+        wires[i][p] = dest
     plan = Plan(
-        shape=shape,
+        shape=tuple(shape),
         paths=tuple(paths),
         rules=tuple(rules),
         wires=tuple(tuple(w) for w in wires),
         in_leaves=_in_leaves(ins),
+        outs=tuple(outs),
         n_in=len(ins),
         blank=(EMPTY,) * len(outs),
-        direct=tuple(list(w) == [(-1, p) for p in range(len(outs))] for w in wires),
+        direct=tuple(w == graph_outs for w in wires),
         index={p: i for i, p in enumerate(paths)},
         firsts=tuple(StepChoice(p, 0) for p in paths),
         reads=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_reads),
@@ -375,16 +373,19 @@ class FlatGraph:
         """The tree this stands for; subtrees whose leaves did not change
         come back as the same objects."""
         leaves = iter(self.nodes)
-
-        def build(g):
-            if isinstance(g, Node):
-                return next(leaves)
-            left, right = build(g.left), build(g.right)
-            if left is g.left and right is g.right:
-                return g
-            return type(g)(left, right)
-
-        self._base = build(self._base)
+        built: list = []  # finished subtrees, left to right
+        stack = [(self._base, False)]
+        while stack:
+            g, expanded = stack.pop()
+            if type(g) is Node:
+                built.append(next(leaves))
+            elif not expanded:
+                stack += ((g, True), (g.right, False), (g.left, False))
+            else:
+                right = built.pop()
+                left = built.pop()
+                built.append(g if left is g.left and right is g.right else type(g)(left, right))
+        (self._base,) = built
         return self._base
 
 

@@ -193,7 +193,7 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
     for case in cases:
         n += 1
         g, outs = _as_graph(base, outs_types, case)
-        base_type = None if is_op else typecheck(as_tree(g))
+        base_type = None if is_op else typecheck(g)
         before = None  # the rank of g, carried over from the previous step
         steps = 0
         for g2, deltas, _rules, choice in trajectory(g, pick, budget + 1):
@@ -219,7 +219,7 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
                         {"reason": "output left its collection type"},
                     )
             if not is_op:
-                if typecheck(as_tree(g2)) != base_type:
+                if typecheck(g2) != base_type:
                     return PropertyReport(
                         "Preservation", "Fail", n, {"case": case}, {"reason": "graph type changed"}
                     )

@@ -291,19 +291,6 @@ def set_defer(e, values: dict):
     return _like(e, FlatGraph(flat.plan, tuple(nodes), flat._base))
 
 
-def _collect_declared(e, reads: dict, writes: dict):
-    if isinstance(e, Node):
-        for key, tag in e.op.defer_reads:
-            if key in reads and reads[key] != tag:
-                raise DeferContextMismatch(f"read_defer key {key!r} used at two types")
-            reads[key] = tag
-        for key, tag in e.op.defer_writes:
-            writes[key] = tag
-    else:
-        _collect_declared(e.left, reads, writes)
-        _collect_declared(e.right, reads, writes)
-
-
 # ---------------------------------------------------------------------------
 # nest
 
@@ -314,7 +301,7 @@ BEFORE, RUNNING_PHASE, DONE_PHASE = 0, 1, 2
 @record
 class NestState:
     phase: int
-    current: object  # the in-flight iteration's graph, compiled while running
+    current: FlatGraph  # the in-flight iteration's graph, or the one the next phase starts from
     iter_outputs: tuple  # outputs accumulated by the current iteration
 
 
@@ -328,9 +315,15 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
     stream. The optional ``g_o`` is the template rebuilt for later
     iterations; it defaults to ``g`` itself and must have the same type.
     """
+    first = compile_graph(g)
     reads: dict = {}
     writes: dict = {}
-    _collect_declared(g, reads, writes)
+    for n in first.nodes:
+        for key, tag in n.op.defer_reads:
+            if key in reads and reads[key] != tag:
+                raise DeferContextMismatch(f"read_defer key {key!r} used at two types")
+            reads[key] = tag
+        writes.update(n.op.defer_writes)
     for key, tag in reads.items():
         if key not in writes:
             raise DeferKeyUnbound(f"read_defer key {key!r} has no matching write_defer")
@@ -339,21 +332,19 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
                 f"defer key {key!r} written at {writes[key]} but read at {tag}"
             )
     ctx = DeferContexts(reads=tuple(sorted(writes.items())), writes=tuple(sorted(writes.items())))
-    gt = typecheck(g, ctx)
+    gt = typecheck(first, ctx)
     for st in gt.outputs:
         if st.bound is not B:
             raise NestOutputUnbounded(f"inner output {st} must be bounded")
-    original = g_o if g_o is not None else g
+    template = first
     if g_o is not None:
-        gt_o = typecheck(g_o, ctx)
-        if gt_o != gt:
+        template = compile_graph(g_o)
+        if typecheck(template, ctx) != gt:
             raise DeferContextMismatch("iteration template has a different graph type")
 
     in_tag = nested_tag(gt.inputs)
     out_tag = nested_tag(gt.outputs)
     bottoms = tuple(bottom(st.collection) for st in gt.outputs)
-    first = compile_graph(g)
-    template = first if original is g else compile_graph(original)
     g_rank_arity = len(graph_rank(first).components)
     if params is None:
         params = {"bound": outer_bound.value, "graph": g}
@@ -369,14 +360,14 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
                 running = NestState(RUNNING_PHASE, first, bottoms)
                 return [StepResult(buffers, running, (Push(bottoms),), "nest-first")]
             if v.terminated:
-                done = NestState(DONE_PHASE, g, ())
+                done = NestState(DONE_PHASE, first, ())
                 return [StepResult(buffers, done, (TERMINATOR,), "nest-first-fixed")]
             return []
         if not v.tuples:
             return []
         # Returns state.current itself while it still holds the oldest tuple,
         # which run_graph below keeps true, so its nodes keep their outcomes.
-        synced = set_inputs(compile_graph(state.current), v.tuples[-1])
+        synced = set_inputs(state.current, v.tuples[-1])
 
         def run_graph(stepped, deltas):
             consumed = inputs(stepped)
@@ -416,7 +407,7 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
             # Final iteration: leftover deferred writes are discarded.
             v2 = NestedSeqValue(True, (), v.inner_types)
             return [
-                StepResult((v2,), NestState(DONE_PHASE, original, ()), (TERMINATOR,), "nest-run-fixed")
+                StepResult((v2,), NestState(DONE_PHASE, template, ()), (TERMINATOR,), "nest-run-fixed")
             ]
         return []
 
@@ -427,14 +418,7 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
             1 if state.phase == BEFORE else 0,
         ]
         synced = state.current
-        if state.phase != RUNNING_PHASE:
-            # current is the tree g or original, which first and template
-            # already hold compiled.
-            if synced is g:
-                synced = first
-            elif synced is original:
-                synced = template
-        elif v.tuples:
+        if state.phase == RUNNING_PHASE and v.tuples:
             synced = set_inputs(synced, v.tuples[-1])
         return Rank(tuple(head) + graph_rank(synced).components)
 
@@ -442,7 +426,7 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
         name="nest",
         inputs=(StreamType(in_tag, outer_bound),),
         outputs=(StreamType(out_tag, outer_bound),),
-        initial_state=NestState(BEFORE, g, ()),
+        initial_state=NestState(BEFORE, first, ()),
         steps_fn=steps,
         rank_fn=rank,
         params=params,

@@ -19,7 +19,6 @@ from .core import (
     ElemType,
     FloError,
     INT,
-    NAT,
     OperatorDef,
     Payload,
     Rank,
@@ -254,13 +253,13 @@ def build_operator(name: str, params: Optional[dict] = None) -> OperatorDef:
     return entry.build(merged)
 
 
-def _entry_simple(name, make, build, default_params, progress_make=None, expect=None):
-    op = make()
+def _entry_simple(name, build, default_params, progress_params=None, expect=None):
+    op = build(default_params)
     _register(
         OpEntry(
             name=name,
             op_eager=op,
-            op_progress=progress_make() if progress_make else op,
+            op_progress=build({**default_params, **progress_params}) if progress_params else op,
             build=build,
             default_params=default_params,
             expect=expect or {"eager": True, "progress": True, "rank": True},
@@ -275,106 +274,89 @@ def _elem(params, key="elem", default="int"):
 def _populate():
     _entry_simple(
         "map",
-        lambda: seq_map("inc", INT, INT, U),
         lambda p: seq_map(p["fn"], _elem(p), _elem(p, "elem_out"), _bound(p)),
         {"fn": "inc", "elem": "int", "elem_out": "int", "bound": "U"},
     )
     _entry_simple(
         "filter",
-        lambda: seq_filter({"name": "ge", "c": 5}, INT, U),
         lambda p: seq_filter(p["fn"], _elem(p), _bound(p)),
         {"fn": {"name": "ge", "c": 5}, "elem": "int", "bound": "U"},
     )
     _entry_simple(
         "scan",
-        lambda: scan(0, "add", INT, INT, U),
         lambda p: scan(p.get("init", 0), p["fn"], _elem(p), _elem(p, "elem_out"), _bound(p)),
         {"init": 0, "fn": "add", "elem": "int", "elem_out": "int", "bound": "U"},
     )
     _entry_simple(
         "fold",
-        lambda: fold(0, "add", INT, INT),
         lambda p: fold(p.get("init", 0), p["fn"], _elem(p), _elem(p, "elem_out")),
         {"init": 0, "fn": "add", "elem": "int", "elem_out": "int"},
     )
     _entry_simple(
         "window",
-        lambda: window(4, INT, U),
         lambda p: window(p["interval"], _elem(p), _bound(p)),
         {"interval": 4, "elem": "int", "bound": "U"},
         # Progress holds at the bounded binding; the flush of a partial
         # window is new content, not a fixing, at unbounded ones.
-        progress_make=lambda: window(4, INT, B),
+        progress_params={"bound": "B"},
     )
     _entry_simple(
         "tee",
-        lambda: tee(seq_tag(INT), U),
         lambda p: tee(parse_tag(p["tag"]), _bound(p)),
         {"tag": "seq<int>", "bound": "U"},
     )
     _entry_simple(
         "forward",
-        lambda: forward(set_tag(INT), U),
         lambda p: forward(parse_tag(p["tag"]), _bound(p)),
         {"tag": "set<int>", "bound": "U"},
     )
     _entry_simple(
         "last",
-        lambda: last(seq_tag(INT)),
         lambda p: last(parse_tag(p["tag"])),
         {"tag": "seq<int>"},
     )
     _entry_simple(
         "fold_lattice",
-        lambda: fold_lattice("id", "max_nat", NAT, U),
         lambda p: fold_lattice(p["fn"], p["lattice"], _elem(p), _bound(p)),
         {"fn": "id", "lattice": "max_nat", "elem": "nat", "bound": "U"},
     )
     _entry_simple(
         "thresh",
-        lambda: thresh("max_nat", (10,), U),
         lambda p: thresh(p["lattice"], tuple(p["thresholds"]), _bound(p)),
         {"lattice": "max_nat", "thresholds": [10], "bound": "U"},
     )
     _entry_simple(
         "to_sequence",
-        lambda: to_sequence("max_nat"),
         lambda p: to_sequence(p["lattice"]),
         {"lattice": "max_nat"},
     )
     _entry_simple(
         "zset_map",
-        lambda: zset_map({"name": "scale", "c": 3}, INT, U),
         lambda p: zset_map(p["fn"], _elem(p, "key"), _bound(p)),
         {"fn": {"name": "scale", "c": 3}, "key": "int", "bound": "U"},
     )
     _entry_simple(
         "zset_join",
-        lambda: zset_join(INT, U),
         lambda p: zset_join(_elem(p, "key"), _bound(p)),
         {"key": "int", "bound": "U"},
     )
     _entry_simple(
         "edge_join",
-        lambda: edge_join(INT, U),
         lambda p: edge_join(_elem(p), _bound(p)),
         {"elem": "int", "bound": "U"},
     )
     _entry_simple(
         "set_union",
-        lambda: set_union(INT, U),
         lambda p: set_union(_elem(p), _bound(p)),
         {"elem": "int", "bound": "U"},
     )
     _entry_simple(
         "repeat_nested",
-        lambda: repeat_nested(set_tag(INT)),
         lambda p: repeat_nested(parse_tag(p["data"])),
         {"data": "set<int>"},
     )
     _entry_simple(
         "zip",
-        lambda: zip_nested((StreamType(seq_tag(INT), B),), (StreamType(set_tag(INT), B),), U),
         lambda p: zip_nested(
             tuple(parse_stream(s) for s in p["left"]),
             tuple(parse_stream(s) for s in p["right"]),
@@ -384,25 +366,21 @@ def _populate():
     )
     _entry_simple(
         "nest_once",
-        lambda: nest_once(set_tag(INT), B, limit=2),
         lambda p: nest_once(parse_tag(p["tag"]), _bound(p, "B"), p.get("limit", 0)),
         {"tag": "set<int>", "bound": "B", "limit": 2},
     )
     _entry_simple(
         "nest",
-        lambda: make_nest(defer_accumulator_graph(), outer_bound=U),
         _build_nest,
         {"graph": "defer_accumulator", "bound": "U"},
     )
     _entry_simple(
         "read_defer",
-        lambda: read_defer("k", set_tag(INT), sset((0,), fixed=True)),
         _build_read_defer,
         {"key": "k", "tag": "set<int>", "init": {"elems": [0], "fixed": True}},
     )
     _entry_simple(
         "write_defer",
-        lambda: write_defer("k", set_tag(INT)),
         lambda p: write_defer(p["key"], parse_tag(p["tag"])),
         {"key": "k", "tag": "set<int>"},
     )
@@ -410,42 +388,36 @@ def _populate():
     # fixtures
     _entry_simple(
         "to_sequence_naive",
-        lambda: to_sequence_naive("max_nat", U),
         lambda p: to_sequence_naive(p["lattice"], _bound(p)),
         {"lattice": "max_nat", "bound": "U"},
         expect={"eager": False, "progress": True, "rank": True},
     )
     _entry_simple(
         "to_sequence_unbounded",
-        lambda: to_sequence_unbounded("max_nat"),
         lambda p: to_sequence_unbounded(p["lattice"]),
         {"lattice": "max_nat"},
         expect={"eager": True, "progress": False, "rank": True},
     )
     _entry_simple(
         "fold_unbounded",
-        lambda: fold(0, "add", INT, INT, _bound=U),
         lambda p: fold(p.get("init", 0), p["fn"], _elem(p), _elem(p, "elem_out"), _bound=U),
         {"init": 0, "fn": "add", "elem": "int", "elem_out": "int"},
         expect={"eager": True, "progress": False, "rank": True},
     )
     _entry_simple(
         "last_unbounded",
-        lambda: last(seq_tag(INT), _bound=U),
         lambda p: last(parse_tag(p["tag"]), _bound=U),
         {"tag": "seq<int>"},
         expect={"eager": True, "progress": False, "rank": True},
     )
     _entry_simple(
         "coin",
-        lambda: coin(INT, U),
         lambda p: coin(_elem(p), _bound(p)),
         {"elem": "int", "bound": "U"},
         expect={"eager": True, "progress": True, "rank": True, "determinism": False},
     )
     _entry_simple(
         "constant_rank",
-        lambda: constant_rank(INT),
         lambda p: constant_rank(_elem(p)),
         {"elem": "int"},
         expect={"eager": True, "progress": True, "rank": False},

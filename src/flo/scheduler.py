@@ -27,12 +27,14 @@ from .core import (
     bottom,
     concat,
     language_of,
+    member,
 )
 from .graph import (
     as_tree,
     budget_message,
     compile_graph,
     enabled_steps,
+    in_types,
     inputs,
     run_steps,
     set_inputs,
@@ -233,7 +235,9 @@ def loop_iteration(
 ):
     """One turn of the loop; returns the new config and the drained portions.
 
-    The graph is compiled on the first turn and stays compiled after it."""
+    A batch that leaves an input buffer outside its collection type raises
+    BatchShapeMismatch. The graph is compiled on the first turn and stays
+    compiled after it."""
     graph = compile_graph(cfg._graph)
     ins = inputs(graph)
     if len(batch.deltas) != len(ins):
@@ -242,6 +246,9 @@ def loop_iteration(
         fed = tuple(concat(b, d) for b, d in zip(ins, batch.deltas))
     except PayloadShapeMismatch as exc:
         raise BatchShapeMismatch(str(exc)) from exc
+    for k, (buf, st) in enumerate(zip(fed, in_types(graph))):
+        if not member(buf, st.collection):
+            raise BatchShapeMismatch(f"input {k}: the fed buffer is not a {st.collection}")
     graph = set_inputs(graph, fed)
     graph, outputs, _ = _run_steps(graph, cfg.pending, picker, step_budget, log, iteration)
     drained = []
@@ -255,6 +262,7 @@ def loop_iteration(
 
 def run_trace(graph, trace, sched=RoundRobin(), drain_seed: int = 0) -> RunResult:
     """Fold the loop over a trace of batches; every step lands in the log."""
+    graph = compile_graph(graph)
     gt = typecheck(graph)
     picker = make_picker(sched)
     drain_rng = random.Random(drain_seed)

@@ -33,6 +33,15 @@ def fold_trace():
     ]
 
 
+def map_scan_graph():
+    return {
+        "seq": [
+            {"op": {"name": "map", "params": {"fn": "inc", "elem": "int", "elem_out": "int", "bound": "U"}}},
+            {"op": {"name": "scan", "params": {"init": 0, "fn": "add", "elem": "int", "elem_out": "int", "bound": "U"}}},
+        ]
+    }
+
+
 class TestTypecheck:
     def test_well_typed_graph(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", fold_graph())
@@ -55,6 +64,14 @@ class TestTypecheck:
 
 
 class TestRun:
+    def test_ill_typed_batch_exits_one(self, tmp_path, capsys):
+        g = write(tmp_path, "g.json", map_scan_graph())
+        t = write(tmp_path, "t.json", [{"batch": [{"payload": {"items": [True, 2.5]}}], "drain": "all"}])
+        assert main(["run", g, t]) == 1
+        captured = capsys.readouterr()
+        assert "BatchShapeMismatch" in captured.err
+        assert captured.out == ""
+
     def test_fold_trace(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", fold_graph())
         t = write(tmp_path, "t.json", fold_trace())

@@ -101,6 +101,23 @@ def test_batch_shape_checked():
         loop_iteration(cfg, batch(payload(1), payload(2)), make_picker(RoundRobin()), None, DrainNone())
 
 
+def test_ill_typed_batch_rejected_at_the_loop_boundary():
+    # The decoder does not check item types, so [True, 2.5] reaches the loop
+    # as a seq<int> payload; without the membership check it would run and
+    # emit floats on a seq<int> output.
+    from flo.core import INT, U, BatchShapeMismatch
+    from flo.graph import seq_chain, typecheck
+    from flo.jsonio import decode_trace
+    from flo.seq import scan
+
+    g = seq_chain(node(seq_map("inc", INT, INT, U)), node(scan(0, "add", INT, INT, U)))
+    trace = decode_trace(
+        [{"batch": [{"payload": {"items": [True, 2.5]}}], "drain": "all"}], typecheck(g).inputs
+    )
+    with pytest.raises(BatchShapeMismatch, match="input 0"):
+        run_trace(g, trace)
+
+
 def test_scripted_schedule_stops_when_exhausted():
     g = fold_pipeline()
     cfg = LoopConfig(g, (SeqValue(False, ()),))
