@@ -590,9 +590,11 @@ def run_steps(e, outputs: tuple, picker=None, cap=None, log=None, iteration=None
     every step as a ``StepEvent``; returns (graph, outputs, steps taken),
     with the graph in the form ``e`` was given in."""
     g, steps = compile_graph(e), 0
+    blank = g.plan.blank  # what _advance returns when no delta reaches an output
     events: dict = {}  # StepChoice -> its event; one plan runs here, so the choice fixes the rules
     for g, deltas, rules, choice in trajectory(g, picker, cap):
-        outputs = apply_outputs(outputs, deltas)
+        if deltas is not blank:
+            outputs = apply_outputs(outputs, deltas)
         if log is not None:
             ev = events.get(choice)
             if ev is None:
@@ -654,6 +656,7 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
     come back in the form ``e`` was given in.
     """
     start = (compile_graph(e), outputs)
+    blank = start[0].plan.blank
     seen = {start}
     queue = deque([start])
     parents: dict = {start: None}
@@ -668,7 +671,7 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
             continue
         for ch in choices:
             g2, deltas, _rules = step_graph(g, ch, exhaustive=True)
-            nxt = (g2, apply_outputs(outs, deltas))
+            nxt = (g2, outs if deltas is blank else apply_outputs(outs, deltas))
             if nxt in seen:
                 continue
             if len(seen) >= max_configs:

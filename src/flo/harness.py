@@ -184,11 +184,7 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
     """
     is_op = isinstance(subject, OperatorDef)
     base, outs_types = _compiled(subject)
-    rng = random.Random(seed)
-
-    def pick(choices, _step):
-        return choices[rng.randrange(len(choices))]
-
+    pick = make_picker(RandomSched(seed))
     n = 0
     for case in cases:
         n += 1

@@ -22,6 +22,7 @@ from .core import (
     EMPTY,
     Extend,
     FloError,
+    LANGUAGES,
     Payload,
     Push,
     TERMINATOR,
@@ -164,16 +165,13 @@ def decode_delta(j, tag: Tag):
 # graphs
 
 
-_VALUE_TYPES = (SeqValue, LVarValue, ZSetValue, SetValue, SingletonNat, NestedSeqValue)
-
-
 def _encode_param(p):
     """Operator params are JSON except for a nest's graphs and a read_defer's init."""
     from .graph import Node, Par, Seq
 
     if isinstance(p, (Node, Seq, Par)):
         return encode_graph(p)
-    if isinstance(p, _VALUE_TYPES):
+    if getattr(p, "lang", None) in LANGUAGES:
         return encode_value(p)
     return p
 

@@ -38,7 +38,7 @@ from .core import (
     register_language,
 )
 from . import catalog
-from .seq import SeqValue, seq_tag
+from .seq import SeqValue, _finish, _per_item, seq_tag
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +212,16 @@ class ThreshState:
 
 def fold_lattice(fn, lattice_id: str, elem_in: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     """Join each transformed element into an LVar; forwards the terminator."""
-    lat = lattice(lattice_id)
+    lattice(lattice_id)  # rejects an unregistered lattice
     f = catalog.resolve(fn, arity=1)
 
-    def steps(buffers, state, exhaustive):
-        (inp,) = buffers
-        if inp.items:
-            point = catalog.call(f, inp.items[-1])
-            return [
-                StepResult(
-                    (SeqValue(inp.terminated, inp.items[:-1]),),
-                    state,
-                    (Payload(LVarValue(lattice_id, point, False)),),
-                    "fold-lattice",
-                )
-            ]
-        if inp.terminated and not state.done:
-            return [StepResult(buffers, FINISHED, (TERMINATOR,), "fold-lattice-terminated")]
-        return []
+    def on_item(state, x):
+        return state, Payload(LVarValue(lattice_id, catalog.call(f, x), False))
 
-    def rank(buffers, state):
-        return Rank((len(buffers[0].items) + (0 if state.done else 1),))
-
-    return OperatorDef(
-        name="fold_lattice",
-        inputs=(StreamType(seq_tag(elem_in), bound),),
-        outputs=(StreamType(lvar_tag(lattice_id), bound),),
-        initial_state=RUNNING,
-        steps_fn=steps,
-        rank_fn=rank,
-        params={"fn": catalog.spec_of(f), "lattice": lattice_id, "elem": str(elem_in), "bound": bound.value},
+    params = {"fn": catalog.spec_of(f), "lattice": lattice_id, "elem": str(elem_in), "bound": bound.value}
+    rules = ("fold-lattice", "fold-lattice-terminated")
+    return _per_item(
+        "fold_lattice", elem_in, lvar_tag(lattice_id), bound, RUNNING, on_item, _finish, params, rules
     )
 
 

@@ -39,6 +39,7 @@ from .lvar import (
 )
 from .nested import make_nest, read_defer, write_defer
 from .seq import (
+    SEQ,
     SeqValue,
     fold,
     forward,
@@ -131,18 +132,17 @@ def coin(elem: ElemType = INT, bound: Bound = U) -> OperatorDef:
     """Non-confluent fixture: two steps that disagree forever."""
 
     def steps(buffers, state, exhaustive):
-        (inp,) = buffers
-        if inp.items:
-            rest = SeqValue(inp.terminated, inp.items[:-1])
-            x = inp.items[-1]
-            return [
-                StepResult((rest,), state, (Payload(SeqValue(False, (x,))),), "coin-heads"),
-                StepResult((rest,), state, (Payload(SeqValue(False, (x + 100,))),), "coin-tails"),
-            ]
-        return []
+        taken = SEQ.take_oldest(buffers[0])
+        if taken is None:
+            return []
+        x, rest = taken
+        return [
+            StepResult((rest,), state, (Payload(SeqValue(False, (x,))),), "coin-heads"),
+            StepResult((rest,), state, (Payload(SeqValue(False, (x + 100,))),), "coin-tails"),
+        ]
 
     def rank(buffers, state):
-        return Rank((len(buffers[0].items),))
+        return Rank((SEQ.content_size(buffers[0]),))
 
     st = StreamType(seq_tag(elem), bound)
     return OperatorDef(

@@ -4,12 +4,19 @@ Sequence values keep the newest element on the left; concatenation
 prepends the payload's items and a terminated sequence absorbs every
 delta. A payload is itself a sequence value, so a single delta can carry
 items together with the terminator (which is how ``fold`` releases its
-accumulator and end-of-stream in one step).
+accumulator and end-of-stream in one step). Only ``SeqLanguage`` knows
+that order: operators consume through ``SEQ.take_oldest``, so the
+representation is a one-class decision.
+
+Operators come in skeletons. ``_per_item`` is the one shape of ``map``,
+``filter``, ``scan``, ``fold`` and ``lvar.fold_lattice``: a step per
+consumed item, then one closing step once the input terminates.
+``_pass_through`` is ``tee`` and ``forward``, which work over any
+collection language with content consumption (sequences, sets, z-sets,
+nat singletons), as does ``last``. ``window`` keeps its own step.
 
 Also home to the natural-number singleton used to parameterize repeated
-nesting, and to the generic pass-through operators (``tee``, ``last``,
-``forward``) that work over any collection language with content
-consumption.
+nesting.
 """
 
 from __future__ import annotations
@@ -105,6 +112,14 @@ class SeqLanguage(CollectionLanguage):
 
     def content_size(self, value):
         return len(value.items)
+
+    def take_oldest(self, value):
+        """The oldest item and the sequence without it, or None when empty.
+        Operators consume a sequence item by item only through this."""
+        items = value.items
+        if not items:
+            return None
+        return items[-1], SeqValue(value.terminated, items[:-1])
 
     def last_output(self, tag):
         return tag
@@ -228,72 +243,79 @@ def _flag(done: bool) -> int:
     return 0 if done else 1
 
 
+def _content_rank(lang):
+    """Rank of a one-input operator that drains its buffer, then closes once."""
+
+    def rank(buffers, state):
+        return Rank((lang.content_size(buffers[0]) + _flag(state.done),))
+
+    return rank
+
+
 # ---------------------------------------------------------------------------
-# map / filter / scan / fold
+# per-item sequence operators: map / filter / scan / fold (and fold_lattice)
+
+
+def _finish(state):
+    return FINISHED, TERMINATOR
+
+
+def _per_item(name, elem_in, out_tag, bound, initial, on_item, on_end, params, rules=None) -> OperatorDef:
+    """One sequence input consumed oldest item first.
+
+    ``on_item(state, x) -> (state', delta)`` is the step for one consumed
+    item. Once the input is terminated and drained, ``on_end(state) ->
+    (state', delta)`` is the one closing step. ``rules`` names the item and
+    closing steps; it defaults to ``name`` and ``name-terminator``.
+    """
+    item_rule, end_rule = rules or (name, f"{name}-terminator")
+
+    def steps(buffers, state, exhaustive):
+        (inp,) = buffers
+        taken = SEQ.take_oldest(inp)
+        if taken is not None:
+            x, rest = taken
+            state2, delta = on_item(state, x)
+            return [StepResult((rest,), state2, (delta,), item_rule)]
+        if inp.terminated and not state.done:
+            state2, delta = on_end(state)
+            return [StepResult(buffers, state2, (delta,), end_rule)]
+        return []
+
+    return OperatorDef(
+        name=name,
+        inputs=(StreamType(seq_tag(elem_in), bound),),
+        outputs=(StreamType(out_tag, bound),),
+        initial_state=initial,
+        steps_fn=steps,
+        rank_fn=_content_rank(SEQ),
+        params=params,
+    )
+
+
+def _one(x) -> Payload:
+    return Payload(SeqValue(False, (x,)))
 
 
 def seq_map(fn, elem_in: ElemType = ANY, elem_out: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     """Element-wise transform; consumes the oldest element per step."""
     f = catalog.resolve(fn, arity=1)
 
-    def steps(buffers, state, exhaustive):
-        (inp,) = buffers
-        if inp.items:
-            out = catalog.call(f, inp.items[-1])
-            return [
-                StepResult(
-                    (SeqValue(inp.terminated, inp.items[:-1]),),
-                    state,
-                    (Payload(SeqValue(False, (out,))),),
-                    "map",
-                )
-            ]
-        if inp.terminated and not state.done:
-            return [StepResult(buffers, FINISHED, (TERMINATOR,), "map-terminator")]
-        return []
+    def on_item(state, x):
+        return state, _one(catalog.call(f, x))
 
-    def rank(buffers, state):
-        return Rank((len(buffers[0].items) + _flag(state.done),))
-
-    return OperatorDef(
-        name="map",
-        inputs=(StreamType(seq_tag(elem_in), bound),),
-        outputs=(StreamType(seq_tag(elem_out), bound),),
-        initial_state=RUNNING,
-        steps_fn=steps,
-        rank_fn=rank,
-        params={"fn": catalog.spec_of(f), "elem": str(elem_in), "elem_out": str(elem_out), "bound": bound.value},
-    )
+    params = {"fn": catalog.spec_of(f), "elem": str(elem_in), "elem_out": str(elem_out), "bound": bound.value}
+    return _per_item("map", elem_in, seq_tag(elem_out), bound, RUNNING, on_item, _finish, params)
 
 
 def seq_filter(pred, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     p = catalog.resolve(pred, arity=1)
 
-    def steps(buffers, state, exhaustive):
-        (inp,) = buffers
-        if inp.items:
-            x = inp.items[-1]
-            keep = catalog.call(p, x)
-            delta = Payload(SeqValue(False, (x,))) if keep else EMPTY
-            return [
-                StepResult((SeqValue(inp.terminated, inp.items[:-1]),), state, (delta,), "filter")
-            ]
-        if inp.terminated and not state.done:
-            return [StepResult(buffers, FINISHED, (TERMINATOR,), "filter-terminator")]
-        return []
+    def on_item(state, x):
+        return state, _one(x) if catalog.call(p, x) else EMPTY
 
-    def rank(buffers, state):
-        return Rank((len(buffers[0].items) + _flag(state.done),))
-
-    return OperatorDef(
-        name="filter",
-        inputs=(StreamType(seq_tag(elem), bound),),
-        outputs=(StreamType(seq_tag(elem), bound),),
-        initial_state=RUNNING,
-        steps_fn=steps,
-        rank_fn=rank,
-        params={"fn": catalog.spec_of(p), "elem": str(elem), "bound": bound.value},
-    )
+    params = {"fn": catalog.spec_of(p), "elem": str(elem), "bound": bound.value}
+    return _per_item("filter", elem, seq_tag(elem), bound, RUNNING, on_item, _finish, params)
 
 
 def scan(init, fn, elem_in: ElemType = ANY, elem_out: ElemType = ANY, bound: Bound = U) -> OperatorDef:
@@ -304,36 +326,15 @@ def scan(init, fn, elem_in: ElemType = ANY, elem_out: ElemType = ANY, bound: Bou
     """
     f = catalog.resolve(fn, arity=2)
 
-    def steps(buffers, state, exhaustive):
-        (inp,) = buffers
-        if inp.items:
-            acc = catalog.call(f, state.acc, inp.items[-1])
-            return [
-                StepResult(
-                    (SeqValue(inp.terminated, inp.items[:-1]),),
-                    AccState(acc, False),
-                    (Payload(SeqValue(False, (acc,))),),
-                    "scan",
-                )
-            ]
-        if inp.terminated and not state.done:
-            return [
-                StepResult(buffers, AccState(state.acc, True), (TERMINATOR,), "scan-terminator")
-            ]
-        return []
+    def on_item(state, x):
+        acc = catalog.call(f, state.acc, x)
+        return AccState(acc, False), _one(acc)
 
-    def rank(buffers, state):
-        return Rank((len(buffers[0].items) + _flag(state.done),))
+    def on_end(state):
+        return AccState(state.acc, True), TERMINATOR
 
-    return OperatorDef(
-        name="scan",
-        inputs=(StreamType(seq_tag(elem_in), bound),),
-        outputs=(StreamType(seq_tag(elem_out), bound),),
-        initial_state=AccState(init, False),
-        steps_fn=steps,
-        rank_fn=rank,
-        params={"init": init, "fn": catalog.spec_of(f), "elem": str(elem_in), "elem_out": str(elem_out), "bound": bound.value},
-    )
+    params = {"init": init, "fn": catalog.spec_of(f), "elem": str(elem_in), "elem_out": str(elem_out), "bound": bound.value}
+    return _per_item("scan", elem_in, seq_tag(elem_out), bound, AccState(init, False), on_item, on_end, params)
 
 
 def fold(init, fn, elem_in: ElemType = ANY, elem_out: ElemType = ANY, *, _bound: Bound = B) -> OperatorDef:
@@ -344,42 +345,14 @@ def fold(init, fn, elem_in: ElemType = ANY, elem_out: ElemType = ANY, *, _bound:
     """
     f = catalog.resolve(fn, arity=2)
 
-    def steps(buffers, state, exhaustive):
-        (inp,) = buffers
-        if inp.items:
-            acc = catalog.call(f, state.acc, inp.items[-1])
-            return [
-                StepResult(
-                    (SeqValue(inp.terminated, inp.items[:-1]),),
-                    AccState(acc, False),
-                    (EMPTY,),
-                    "fold",
-                )
-            ]
-        if inp.terminated and not state.done:
-            return [
-                StepResult(
-                    buffers,
-                    AccState(state.acc, True),
-                    (Payload(SeqValue(True, (state.acc,))),),
-                    "fold-terminator",
-                )
-            ]
-        return []
+    def on_item(state, x):
+        return AccState(catalog.call(f, state.acc, x), False), EMPTY
 
-    def rank(buffers, state):
-        return Rank((len(buffers[0].items) + _flag(state.done),))
+    def on_end(state):
+        return AccState(state.acc, True), Payload(SeqValue(True, (state.acc,)))
 
-    return OperatorDef(
-        name="fold",
-        inputs=(StreamType(seq_tag(elem_in), _bound),),
-        outputs=(StreamType(seq_tag(elem_out), _bound),),
-        initial_state=AccState(init, False),
-        steps_fn=steps,
-        rank_fn=rank,
-        params={"init": init, "fn": catalog.spec_of(f), "elem": str(elem_in), "elem_out": str(elem_out)},
-        rank_arity=1,
-    )
+    params = {"init": init, "fn": catalog.spec_of(f), "elem": str(elem_in), "elem_out": str(elem_out)}
+    return _per_item("fold", elem_in, seq_tag(elem_out), _bound, AccState(init, False), on_item, on_end, params)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +377,9 @@ def window(interval: int, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef
 
     def steps(buffers, state, exhaustive):
         (inp,) = buffers
-        if inp.items:
-            v, t = inp.items[-1]
-            rest = SeqValue(inp.terminated, inp.items[:-1])
+        taken = SEQ.take_oldest(inp)
+        if taken is not None:
+            (v, t), rest = taken
             if not state.buffer:
                 return [StepResult((rest,), WindowState(((v, t),), False), (EMPTY,), "window-first")]
             oldest_ts = state.buffer[-1][1]
@@ -438,7 +411,7 @@ def window(interval: int, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef
     def rank(buffers, state):
         return Rank(
             (
-                len(buffers[0].items) + _flag(state.done),
+                SEQ.content_size(buffers[0]) + _flag(state.done),
                 1 if state.buffer else 0,
             )
         )
@@ -459,76 +432,53 @@ def window(interval: int, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef
 # generic pass-through operators: tee, forward, last
 #
 # These work over any collection language that supports content
-# consumption (sequences, sets, z-sets, nat singletons). They drain the
-# buffer's content as a delta, then forward the terminator once the input
-# is fixed.
+# consumption. They drain the buffer's content, then forward the
+# terminator once the input is fixed.
 
 
 def _require_take(tag: Tag, opname: str):
-    from .core import LANGUAGES
-
     lang = LANGUAGES[tag.language]
     if not lang.supports_take:
         raise FloError(f"{opname} does not support {tag.language} inputs")
     return lang
 
 
-def tee(tag: Tag, bound: Bound = U) -> OperatorDef:
-    """Duplicate a stream onto two outputs."""
-    lang = _require_take(tag, "tee")
+def _pass_through(name: str, tag: Tag, bound: Bound, n_out: int) -> OperatorDef:
+    """Drain the input's content onto ``n_out`` copies of it, then forward
+    the terminator to each once the input is fixed."""
+    lang = _require_take(tag, name)
+    end_rule, ends = f"{name}-terminator", (TERMINATOR,) * n_out
 
     def steps(buffers, state, exhaustive):
         (inp,) = buffers
         taken = lang.take_content(inp)
         if taken is not None:
             delta, residue = taken
-            return [StepResult((residue,), state, (delta, delta), "tee")]
+            return [StepResult((residue,), state, (delta,) * n_out, name)]
         if lang.is_fixed(inp) and not state.done:
-            return [StepResult(buffers, FINISHED, (TERMINATOR, TERMINATOR), "tee-terminator")]
+            return [StepResult(buffers, FINISHED, ends, end_rule)]
         return []
-
-    def rank(buffers, state):
-        return Rank((lang.content_size(buffers[0]) + _flag(state.done),))
 
     st = StreamType(tag, bound)
     return OperatorDef(
-        name="tee",
+        name=name,
         inputs=(st,),
-        outputs=(st, st),
+        outputs=(st,) * n_out,
         initial_state=RUNNING,
         steps_fn=steps,
-        rank_fn=rank,
+        rank_fn=_content_rank(lang),
         params={"tag": str(tag), "bound": bound.value},
     )
+
+
+def tee(tag: Tag, bound: Bound = U) -> OperatorDef:
+    """Duplicate a stream onto two outputs."""
+    return _pass_through("tee", tag, bound, 2)
 
 
 def forward(tag: Tag, bound: Bound = U) -> OperatorDef:
     """Identity pass-through; wiring glue for parallel compositions."""
-    lang = _require_take(tag, "forward")
-
-    def steps(buffers, state, exhaustive):
-        (inp,) = buffers
-        taken = lang.take_content(inp)
-        if taken is not None:
-            delta, residue = taken
-            return [StepResult((residue,), state, (delta,), "forward")]
-        if lang.is_fixed(inp) and not state.done:
-            return [StepResult(buffers, FINISHED, (TERMINATOR,), "forward-terminator")]
-        return []
-
-    def rank(buffers, state):
-        return Rank((lang.content_size(buffers[0]) + _flag(state.done),))
-
-    st = StreamType(tag, bound)
-    return OperatorDef(
-        name="forward",
-        inputs=(st,),
-        outputs=(st,),
-        initial_state=RUNNING,
-        steps_fn=steps,
-        rank_fn=rank,
-        params={"tag": str(tag), "bound": bound.value},
-    )
+    return _pass_through("forward", tag, bound, 1)
 
 
 def last(tag: Tag, *, _bound: Bound = B) -> OperatorDef:
@@ -556,15 +506,12 @@ def last(tag: Tag, *, _bound: Bound = B) -> OperatorDef:
             return [StepResult(buffers, LastState(state.latest, True), (emitted,), "last-emit")]
         return []
 
-    def rank(buffers, state):
-        return Rank((lang.content_size(buffers[0]) + _flag(state.done),))
-
     return OperatorDef(
         name="last",
         inputs=(StreamType(tag, _bound),),
         outputs=(StreamType(out, _bound),),
         initial_state=LastState(NOTHING, False),
         steps_fn=steps,
-        rank_fn=rank,
+        rank_fn=_content_rank(lang),
         params={"tag": str(tag)},
     )

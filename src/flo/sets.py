@@ -19,7 +19,6 @@ from .core import (
     Extend,
     FINISHED,
     FloError,
-    LANGUAGES,
     NOTHING,
     OperatorDef,
     Payload,
@@ -41,7 +40,7 @@ from .core import (
     sort_key,
 )
 from .nested import NestedSeqValue, nested_tag
-from .seq import NAT_TAG
+from .seq import NAT_TAG, _flag, _require_take
 
 
 @record
@@ -153,48 +152,55 @@ def edge_tag(elem: ElemType = ANY) -> Tag:
 # set operators
 
 
-def set_union(elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
-    """Union of two set streams; terminates once both inputs fix."""
+def _drain_sides(name, elem, right_tag, bound, initial, on_left, on_right, on_end, rules) -> OperatorDef:
+    """Two set inputs, each drained whole in one step, in either order.
+
+    ``on_left``/``on_right(state, elems) -> (state', delta)`` take one
+    side's pending elements. Once both inputs are fixed and drained,
+    ``on_end(state) -> state'`` closes the output. ``rules`` names the
+    left, right and closing steps.
+    """
+    left_rule, right_rule, end_rule = rules
 
     def steps(buffers, state, exhaustive):
         left, right = buffers
         results = []
         if left.elems:
-            results.append(
-                StepResult(
-                    (SetValue(frozenset(), left.fixed), right),
-                    state,
-                    (Payload(SetValue(left.elems, False)),),
-                    "union-left",
-                )
-            )
+            state2, delta = on_left(state, left.elems)
+            results.append(StepResult((SetValue(frozenset(), left.fixed), right), state2, (delta,), left_rule))
         if right.elems:
-            results.append(
-                StepResult(
-                    (left, SetValue(frozenset(), right.fixed)),
-                    state,
-                    (Payload(SetValue(right.elems, False)),),
-                    "union-right",
-                )
-            )
+            state2, delta = on_right(state, right.elems)
+            results.append(StepResult((left, SetValue(frozenset(), right.fixed)), state2, (delta,), right_rule))
         if results:
             return results
         if left.fixed and right.fixed and not state.done:
-            return [StepResult(buffers, FINISHED, (TERMINATOR,), "union-terminated")]
+            return [StepResult(buffers, on_end(state), (TERMINATOR,), end_rule)]
         return []
 
     def rank(buffers, state):
-        return Rank((len(buffers[0].elems) + len(buffers[1].elems) + (0 if state.done else 1),))
+        return Rank((len(buffers[0].elems) + len(buffers[1].elems) + _flag(state.done),))
 
     st = StreamType(set_tag(elem), bound)
     return OperatorDef(
-        name="set_union",
-        inputs=(st, st),
+        name=name,
+        inputs=(st, StreamType(right_tag, bound)),
         outputs=(st,),
-        initial_state=RUNNING,
+        initial_state=initial,
         steps_fn=steps,
         rank_fn=rank,
         params={"elem": str(elem), "bound": bound.value},
+    )
+
+
+def set_union(elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
+    """Union of two set streams; terminates once both inputs fix."""
+
+    def on_side(state, elems):
+        return state, Payload(SetValue(elems, False))
+
+    rules = ("union-left", "union-right", "union-terminated")
+    return _drain_sides(
+        "set_union", elem, set_tag(elem), bound, RUNNING, on_side, on_side, lambda state: FINISHED, rules
     )
 
 
@@ -213,63 +219,22 @@ def edge_join(elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     stored other side.
     """
 
-    def steps(buffers, state, exhaustive):
-        nodes_in, edges_in = buffers
-        results = []
-        if nodes_in.elems:
-            new = nodes_in.elems
-            dests = frozenset(d for (s, d) in state.edges if s in new)
-            results.append(
-                StepResult(
-                    (SetValue(frozenset(), nodes_in.fixed), edges_in),
-                    EdgeJoinState(state.nodes | new, state.edges, False),
-                    (Payload(SetValue(dests, False)),),
-                    "edge-join-nodes",
-                )
-            )
-        if edges_in.elems:
-            new_edges = edges_in.elems
-            # Pending nodes join against these edges once they drain, so
-            # only sources already drained count here.
-            dests = frozenset(d for (s, d) in new_edges if s in state.nodes)
-            results.append(
-                StepResult(
-                    (nodes_in, SetValue(frozenset(), edges_in.fixed)),
-                    EdgeJoinState(state.nodes, state.edges | new_edges, False),
-                    (Payload(SetValue(dests, False)),),
-                    "edge-join-edges",
-                )
-            )
-        if results:
-            return results
-        if nodes_in.fixed and edges_in.fixed and not state.done:
-            return [
-                StepResult(
-                    buffers,
-                    EdgeJoinState(state.nodes, state.edges, True),
-                    (TERMINATOR,),
-                    "edge-join-terminated",
-                )
-            ]
-        return []
+    def on_nodes(state, new):
+        dests = frozenset(d for (s, d) in state.edges if s in new)
+        return EdgeJoinState(state.nodes | new, state.edges, False), Payload(SetValue(dests, False))
 
-    def rank(buffers, state):
-        return Rank(
-            (len(buffers[0].elems) + len(buffers[1].elems) + (0 if state.done else 1),)
-        )
+    def on_edges(state, new_edges):
+        # Pending nodes join against these edges once they drain, so only
+        # sources already drained count here.
+        dests = frozenset(d for (s, d) in new_edges if s in state.nodes)
+        return EdgeJoinState(state.nodes, state.edges | new_edges, False), Payload(SetValue(dests, False))
 
-    return OperatorDef(
-        name="edge_join",
-        inputs=(
-            StreamType(set_tag(elem), bound),
-            StreamType(edge_tag(elem), bound),
-        ),
-        outputs=(StreamType(set_tag(elem), bound),),
-        initial_state=EdgeJoinState(frozenset(), frozenset(), False),
-        steps_fn=steps,
-        rank_fn=rank,
-        params={"elem": str(elem), "bound": bound.value},
-    )
+    def on_end(state):
+        return EdgeJoinState(state.nodes, state.edges, True)
+
+    initial = EdgeJoinState(frozenset(), frozenset(), False)
+    rules = ("edge-join-nodes", "edge-join-edges", "edge-join-terminated")
+    return _drain_sides("edge_join", elem, edge_tag(elem), bound, initial, on_nodes, on_edges, on_end, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +314,7 @@ def zip_nested(left_inner: tuple, right_inner: tuple, bound: Bound = U) -> Opera
     """
     out_inner = tuple(left_inner) + tuple(right_inner)
     nl = len(left_inner)
-    for st in out_inner:
-        if not LANGUAGES[st.collection.language].supports_take:
-            raise FloError(f"zip cannot stream {st.collection} components")
+    langs = [_require_take(st.collection, "zip") for st in out_inner]
     bottoms = tuple(bottom(st.collection) for st in out_inner)
 
     def comps_of(l, r):
@@ -380,7 +343,6 @@ def zip_nested(left_inner: tuple, right_inner: tuple, bound: Bound = U) -> Opera
                 ]
             return []
         comps = comps_of(l, r)
-        langs = [LANGUAGES[st.collection.language] for st in out_inner]
         takes = [lang.take_content(c) for lang, c in zip(langs, comps)]
         if any(t is not None for t in takes):
             parts = tuple(t[0] if t is not None else EMPTY for t in takes)
@@ -424,10 +386,7 @@ def zip_nested(left_inner: tuple, right_inner: tuple, bound: Bound = U) -> Opera
         c3 = 0
         if state.opened and l.tuples and r.tuples:
             comps = comps_of(l, r)
-            c2 = sum(
-                LANGUAGES[st.collection.language].content_size(c)
-                for st, c in zip(out_inner, comps)
-            )
+            c2 = sum(lang.content_size(c) for lang, c in zip(langs, comps))
             c3 = sum(1 for s in state.sent_fix if not s)
         return Rank((c1, c2, c3))
 
@@ -470,14 +429,12 @@ def nest_once(tag: Tag, bound: Bound = B, limit: int = 0) -> OperatorDef:
     empties would appear only upon input fixing and outputs would not be
     maximal.
     """
-    lang = LANGUAGES[tag.language]
-    if not lang.supports_take:
-        raise FloError(f"nest_once cannot stream {tag.language} inputs")
+    lang = _require_take(tag, "nest_once")
     if bound is U and limit != 0:
         raise FloError("nest_once at an unbounded binding requires limit=0")
     inner = StreamType(tag, B)
     out_tag = nested_tag((inner,))
-    fixed_empty = LANGUAGES[tag.language].fix(bottom(tag))
+    fixed_empty = lang.fix(bottom(tag))
 
     def steps(buffers, state, exhaustive):
         (inp,) = buffers

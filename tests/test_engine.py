@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from flo import graph as graph_module
 from flo import scheduler
 from flo.cli import main
 from flo.core import (
@@ -100,6 +101,24 @@ def test_round_robin_trace_evaluates_only_replaced_nodes(op_calls):
     # A step replaces the stepped node and at most one node it feeds; every
     # other node keeps the outcomes it was listed with.
     assert op_calls["n"] <= 2 * len(res.log)
+
+
+def test_steps_that_reach_no_output_skip_the_output_fold(monkeypatch):
+    folds = {"n": 0}
+    original = graph_module.apply_outputs
+
+    def counting(outputs, deltas):
+        folds["n"] += 1
+        return original(outputs, deltas)
+
+    monkeypatch.setattr(graph_module, "apply_outputs", counting)
+    chain = seq_chain(*(node(seq_map("inc", INT, INT, U)) for _ in range(3)))
+    g = set_inputs(chain, (seq(*range(10), terminated=True),))
+    _, outs, steps = run_to_stuck(g, (bottom(seq_tag(INT)),))
+    assert steps == 33
+    assert outs == (seq(*range(3, 13), terminated=True),)
+    # Only the last map's 10 items and its terminator reach the output.
+    assert folds["n"] <= 11
 
 
 def test_reachability_makes_few_evaluations_per_step(op_calls):
