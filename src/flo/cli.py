@@ -14,7 +14,7 @@ import random
 import sys
 
 from .core import FloError, GraphTypeError, bottom
-from .gen import gen_delta, gen_value
+from .gen import gen_value
 from .graph import explore_all, in_types, set_inputs, typecheck
 from .harness import (
     OpCase,
@@ -30,10 +30,12 @@ from .jsonio import (
     decode_trace,
     decode_value,
     dumps,
+    encode_counterexample,
+    encode_graph,
     encode_report,
     encode_value,
 )
-from .opcatalog import REGISTRY, build_operator, cases_for
+from .opcatalog import REGISTRY, build_operator, sample_cases
 from .scheduler import RandomSched, RoundRobin, run_trace
 
 
@@ -87,71 +89,35 @@ def cmd_run(args) -> int:
     return 0
 
 
-_PROPS = {
-    "eager": "EagerExecution",
-    "progress": "StreamingProgress",
-    "rank": "RankDescent",
-    "determinism": "Determinism",
-}
+def _decode_inputs(values, types) -> tuple:
+    return tuple(decode_value(v, st.collection) for v, st in zip(values, types))
 
 
-def _graph_cases(graph, count, seed, progress):
-    from .core import B
-
-    rng = random.Random(seed)
-    types = in_types(graph)
-    for _ in range(count):
-        if progress:
-            buffers = tuple(
-                gen_value(st.collection, rng, fixed=True if st.bound is B else None)
-                for st in types
-            )
-            yield OpCase(buffers=buffers)
-        else:
-            buffers = tuple(gen_value(st.collection, rng) for st in types)
-            delta = tuple(gen_delta(st.collection, rng, b) for st, b in zip(types, buffers))
-            yield OpCase(buffers=buffers, delta=delta, presteps=rng.randint(0, 3))
+def _determinism_inputs(types, args) -> tuple:
+    """The ``--inputs`` file if given, else values drawn from the seed."""
+    if args.inputs:
+        return _decode_inputs(_load_json(args.inputs), types)
+    rng = random.Random(args.seed)
+    return tuple(gen_value(st.collection, rng) for st in types)
 
 
-def _check_one(subject, prop, args, entry=None, graph_subject=False):
+def _check_one(subject, types, prop, args):
+    """Run one property check on an operator or a graph whose exterior
+    inputs have the given stream types."""
     if prop == "determinism":
-        if graph_subject:
-            if args.inputs:
-                values = [
-                    decode_value(v, st.collection)
-                    for v, st in zip(_load_json(args.inputs), in_types(subject))
-                ]
-                ins = tuple(values)
-            else:
-                rng = random.Random(args.seed)
-                ins = tuple(gen_value(st.collection, rng) for st in in_types(subject))
-            mode = "exhaustive" if args.exhaustive else "sampled"
-            return check_determinism(
-                subject, ins, mode=mode, max_configs=args.max_configs, seed=args.seed
-            )
-        from .graph import node as mknode
-
-        op = entry.op_eager
-        rng = random.Random(args.seed)
-        ins = tuple(gen_value(st.collection, rng) for st in op.inputs)
         return check_determinism(
-            mknode(op),
-            ins,
+            subject,
+            _determinism_inputs(types, args),
             mode="exhaustive" if args.exhaustive else "sampled",
             max_configs=args.max_configs,
             seed=args.seed,
         )
-    if graph_subject:
-        cases = _graph_cases(subject, args.cases, args.seed, progress=prop == "progress")
-        subject_for_check = subject
-    else:
-        cases = cases_for(entry, prop, args.cases, args.seed)
-        subject_for_check = entry.op_progress if prop == "progress" else entry.op_eager
+    cases = sample_cases(types, prop, args.cases, args.seed)
     if prop == "eager":
-        return check_eager(subject_for_check, cases)
+        return check_eager(subject, cases)
     if prop == "progress":
-        return check_progress(subject_for_check, cases)
-    return check_rank_and_preservation(subject_for_check, cases, seed=args.seed)
+        return check_progress(subject, cases)
+    return check_rank_and_preservation(subject, cases, seed=args.seed)
 
 
 def cmd_check(args) -> int:
@@ -165,20 +131,17 @@ def cmd_check(args) -> int:
             return 2
         entry = REGISTRY[args.operator]
         subject_desc = {"operator": args.operator, "params": entry.default_params}
-        reports = [_check_one(None, p, args, entry=entry) for p in props]
+        ops = [entry.op_progress if p == "progress" else entry.op_eager for p in props]
+        reports = [_check_one(op, op.inputs, p, args) for op, p in zip(ops, props)]
     else:
         graph = decode_graph(_load_json(args.graph))
-        typecheck(graph)
-        from .jsonio import encode_graph
-
+        types = typecheck(graph).inputs
         subject_desc = {"graph": encode_graph(graph)}
-        reports = [_check_one(graph, p, args, graph_subject=True) for p in props]
+        reports = [_check_one(graph, types, p, args) for p in props]
     encoded = [encode_report(r, subject_desc) for r in reports]
     _emit(encoded[0] if len(encoded) == 1 else encoded)
     failed = [r for r in reports if not r.passed]
     if failed and args.counterexample:
-        from .jsonio import encode_counterexample
-
         with open(args.counterexample, "w") as fh:
             fh.write(dumps(encode_counterexample(failed[0], subject_desc)))
     return 1 if failed else 0
@@ -188,11 +151,7 @@ def cmd_explore(args) -> int:
     graph = decode_graph(_load_json(args.graph))
     gt = typecheck(graph)
     if args.inputs:
-        values = tuple(
-            decode_value(v, st.collection)
-            for v, st in zip(_load_json(args.inputs), gt.inputs)
-        )
-        graph = set_inputs(graph, values)
+        graph = set_inputs(graph, _decode_inputs(_load_json(args.inputs), gt.inputs))
     outs = tuple(bottom(st.collection) for st in gt.outputs)
     res = explore_all(graph, outs, max_configs=args.max_configs)
     distinct = len(dict.fromkeys(res.stuck))
@@ -215,36 +174,29 @@ def cmd_replay(args) -> int:
     prop = data.get("property")
     if "operator" in data:
         subject = build_operator(data["operator"], data.get("params"))
-        graph_subject = False
+        types = subject.inputs
     elif "graph" in data:
         subject = decode_graph(data["graph"])
-        graph_subject = True
+        types = in_types(subject)
     else:
         print("NotACounterexample: no subject recorded", file=sys.stderr)
         return 2
 
     if prop == "Determinism":
-        from .graph import node as mknode
-
-        ins = tuple(
-            decode_value(v, st.collection)
-            for v, st in zip(data["inputs"], in_types(subject) if graph_subject else subject.inputs)
-        )
-        target = subject if graph_subject else mknode(subject)
-        report = check_determinism(target, ins, mode="exhaustive", max_configs=args.max_configs)
+        ins = _decode_inputs(data["inputs"], types)
+        report = check_determinism(subject, ins, mode="exhaustive", max_configs=args.max_configs)
     else:
         case_j = data.get("case")
         if case_j is None:
             print("NotACounterexample: no case recorded", file=sys.stderr)
             return 2
-        tags = in_types(subject) if graph_subject else subject.inputs
-        buffers = tuple(
-            decode_value(v, st.collection) for v, st in zip(case_j["buffers"], tags)
+        case = OpCase(
+            buffers=_decode_inputs(case_j["buffers"], types),
+            delta=tuple(
+                decode_delta(d, st.collection) for d, st in zip(case_j.get("delta", []), types)
+            ),
+            presteps=case_j.get("presteps", 0),
         )
-        deltas = tuple(
-            decode_delta(d, st.collection) for d, st in zip(case_j.get("delta", []), tags)
-        )
-        case = OpCase(buffers=buffers, delta=deltas, presteps=case_j.get("presteps", 0))
         if prop == "EagerExecution":
             report = check_eager(subject, [case])
         elif prop == "StreamingProgress":
@@ -291,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cases", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inputs", help="JSON file with graph input values")
+    p.add_argument(
+        "--inputs",
+        help="JSON file with the input values for --property determinism, "
+        "for a graph or an --operator (default: values drawn from --seed)",
+    )
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--max-configs", type=int, default=default_cap)
     p.add_argument("--counterexample", help="write a replayable counterexample on failure")

@@ -425,10 +425,6 @@ class CollectionLanguage:
     def fix(self, value):
         raise NotImplementedError
 
-    @property
-    def empty_delta(self):
-        return EMPTY
-
     def bottom(self, tag: Tag):
         """The language's neutral starting value for the given tag."""
         raise NotImplementedError
@@ -613,12 +609,11 @@ def step_operator(
     inputs: tuple,
     state,
     choice: int = 0,
-    verify: bool = True,
 ) -> Optional[StepResult]:
     """Take one operator small step, or None when stuck.
 
-    With ``verify`` set, checks the two per-step operator laws after the
-    fact: strict rank descent and preservation of input membership.
+    Checks the two per-step operator laws after the fact: strict rank
+    descent and preservation of input membership.
     """
     outcomes = op.steps(inputs, state)
     if not outcomes:
@@ -626,16 +621,13 @@ def step_operator(
     if choice >= len(outcomes):
         raise InvalidChoice(f"{op.name}: choice {choice} of {len(outcomes)}")
     result = outcomes[choice]
-    if verify:
-        before = op.rank(inputs, state)
-        after = op.rank(result.buffers, result.state)
-        if not after < before:
-            raise RankViolation(
-                f"{op.name}/{result.rule}: rank {after} not below {before}"
-            )
-        for buf, st in zip(result.buffers, op.inputs):
-            if not member(buf, st.collection):
-                raise TypeViolation(f"{op.name}/{result.rule}: buffer left {st}")
+    before = op.rank(inputs, state)
+    after = op.rank(result.buffers, result.state)
+    if not after < before:
+        raise RankViolation(f"{op.name}/{result.rule}: rank {after} not below {before}")
+    for buf, st in zip(result.buffers, op.inputs):
+        if not member(buf, st.collection):
+            raise TypeViolation(f"{op.name}/{result.rule}: buffer left {st}")
     return result
 
 

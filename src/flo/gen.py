@@ -101,36 +101,28 @@ def gen_delta(tag: Tag, rng: random.Random, current):
     roll = rng.random()
     if roll < 0.15:
         return EMPTY
+    if lang == "nested":
+        return gen_nested_delta(tag, rng, current)
+    if lang not in ("seq", "lvar", "zset", "set", "nat"):
+        raise ValueError(f"no delta generator for {tag}")
+    if roll < 0.35:
+        return TERMINATOR
     if lang == "seq":
-        if roll < 0.35:
-            return TERMINATOR
         items = tuple(gen_atom(tag.params[0], rng) for _ in range(rng.randint(1, 3)))
         return Payload(SeqValue(rng.random() < 0.2, items))
     if lang == "lvar":
-        if roll < 0.35:
-            return TERMINATOR
         return Payload(
             LVarValue(tag.params[0], gen_lattice_point(tag.params[0], rng), rng.random() < 0.15)
         )
     if lang == "zset":
-        if roll < 0.35:
-            return TERMINATOR
         keys = rng.sample(range(8), rng.randint(1, 3))
         return Payload(zset({k: rng.choice([-2, -1, 1, 2]) for k in keys}, rng.random() < 0.15))
     if lang == "set":
-        if roll < 0.35:
-            return TERMINATOR
         elems = frozenset(gen_atom(tag.params[0], rng) for _ in range(rng.randint(1, 3)))
         return Payload(SetValue(elems, rng.random() < 0.15))
-    if lang == "nat":
-        if roll < 0.35:
-            return TERMINATOR
-        held = getattr(current, "value", None)
-        value = held if held is not None else rng.randint(0, 3)
-        return Payload(SingletonNat(value, rng.random() < 0.3))
-    if lang == "nested":
-        return gen_nested_delta(tag, rng, current)
-    raise ValueError(f"no delta generator for {tag}")
+    held = getattr(current, "value", None)  # nat
+    value = held if held is not None else rng.randint(0, 3)
+    return Payload(SingletonNat(value, rng.random() < 0.3))
 
 
 def gen_nested_delta(tag: Tag, rng: random.Random, current: NestedSeqValue):

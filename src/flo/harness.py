@@ -1,6 +1,7 @@
 """Mechanical checkers for the model's behavioral guarantees.
 
-Four families of checks, all counterexample-producing:
+Four families of checks, all counterexample-producing. Each checker takes
+an operator (checked as a one-node graph) or a graph:
 
 * eager execution: taking a step and then receiving a delta converges to
   the same stuck configuration as receiving the delta first;
@@ -10,7 +11,8 @@ Four families of checks, all counterexample-producing:
 * determinism: every schedule from a configuration reaches the same stuck
   configuration (checked exhaustively with state dedup, or sampled);
 * rank descent and preservation: each step strictly decreases the
-  subject's rank and keeps buffers and outputs inside their types.
+  subject's rank and keeps every leaf's buffers and every output inside
+  their types.
 
 A failing report always carries enough of the offending case to replay
 it.
@@ -48,7 +50,6 @@ from .graph import (
     set_inputs,
     step_graph,
     trajectory,
-    typecheck,
 )
 from .scheduler import RandomSched, RunResult, make_picker, run_trace
 
@@ -65,10 +66,6 @@ class PropertyReport:
     def passed(self) -> bool:
         return self.verdict == "Pass"
 
-    def brief(self) -> str:
-        extra = f" ({self.details})" if self.details else ""
-        return f"{self.prop}: {self.verdict} after {self.cases} case(s){extra}"
-
 
 @dataclass(frozen=True)
 class OpCase:
@@ -77,7 +74,6 @@ class OpCase:
     buffers: tuple
     delta: tuple = ()  # one delta per input, for the eager check
     presteps: int = 0
-    outputs: Optional[tuple] = None
 
 
 def _compiled(subject):
@@ -87,10 +83,8 @@ def _compiled(subject):
     return compile_graph(subject), out_types(subject)
 
 
-def _as_graph(base, out_tys, case: OpCase):
-    g = set_inputs(base, case.buffers)
-    outs = case.outputs or tuple(bottom(st.collection) for st in out_tys)
-    return g, outs
+def _as_graph(base, out_tys, buffers: tuple):
+    return set_inputs(base, buffers), tuple(bottom(st.collection) for st in out_tys)
 
 
 def _tree_config(config):
@@ -112,7 +106,7 @@ def check_eager(subject, cases, budget: int = 4000) -> PropertyReport:
     n = 0
     for case in cases:
         n += 1
-        g0, outs0 = _as_graph(base, out_tys, case)
+        g0, outs0 = _as_graph(base, out_tys, case.buffers)
         g0, outs0, _ = run_steps(g0, outs0, cap=case.presteps)
         target_g, target_o, _ = run_to_stuck(_feed(g0, case.delta), outs0, budget=budget)
         failed = None
@@ -143,7 +137,7 @@ def check_progress(subject, cases, budget: int = 4000) -> PropertyReport:
     n = 0
     for case in cases:
         n += 1
-        g0, outs0 = _as_graph(base, outs_types, case)
+        g0, outs0 = _as_graph(base, outs_types, case.buffers)
         _, o1, _ = run_to_stuck(g0, outs0, budget=budget)
         for st, value in zip(outs_types, o1):
             if st.bound is B and not is_fixed(value):
@@ -154,10 +148,7 @@ def check_progress(subject, cases, budget: int = 4000) -> PropertyReport:
                     {"case": case, "unfixed_output": value, "port_type": st},
                     {"reason": "bounded output not fixed at stuck state"},
                 )
-        fixed_case = OpCase(
-            buffers=tuple(fix(b) for b in case.buffers), outputs=case.outputs
-        )
-        g2, outs2 = _as_graph(base, outs_types, fixed_case)
+        g2, outs2 = _as_graph(base, outs_types, tuple(fix(b) for b in case.buffers))
         _, o2, _ = run_to_stuck(g2, outs2, budget=budget)
         expected = tuple(fix(o) for o in o1)
         if o2 != expected:
@@ -178,18 +169,20 @@ def check_progress(subject, cases, budget: int = 4000) -> PropertyReport:
 def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 0) -> PropertyReport:
     """Strict rank decrease plus type stability along sampled traces.
 
-    Each case runs under a seeded random schedule; a run still going after
-    ``budget + 1`` steps raises StepBudgetExceeded, as ``run_to_stuck``
-    does, since a fixed cap says nothing about the rank.
+    After each step the rank must drop, every output must stay in its
+    collection type, and every leaf's buffers must stay in their
+    operator's input types. Operators are never replaced, so that is all
+    a graph's type can lose. Each case runs under a seeded random
+    schedule; a run still going after ``budget + 1`` steps raises
+    StepBudgetExceeded, as ``run_to_stuck`` does, since a fixed cap says
+    nothing about the rank.
     """
-    is_op = isinstance(subject, OperatorDef)
     base, outs_types = _compiled(subject)
     pick = make_picker(RandomSched(seed))
     n = 0
     for case in cases:
         n += 1
-        g, outs = _as_graph(base, outs_types, case)
-        base_type = None if is_op else typecheck(g)
+        g, outs = _as_graph(base, outs_types, case.buffers)
         before = None  # the rank of g, carried over from the previous step
         steps = 0
         for g2, deltas, _rules, choice in trajectory(g, pick, budget + 1):
@@ -214,13 +207,8 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
                         {"case": case, "choice": choice, "output": value},
                         {"reason": "output left its collection type"},
                     )
-            if not is_op:
-                if typecheck(g2) != base_type:
-                    return PropertyReport(
-                        "Preservation", "Fail", n, {"case": case}, {"reason": "graph type changed"}
-                    )
-            else:
-                for st, buf in zip(subject.inputs, inputs(g2)):
+            for leaf in g2.nodes:
+                for st, buf in zip(leaf.op.inputs, leaf.buffers):
                     if not member(buf, st.collection):
                         return PropertyReport(
                             "Preservation",
@@ -241,28 +229,23 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
 
 
 def check_determinism(
-    graph,
+    subject,
     case_inputs: tuple,
-    mode="exhaustive",
+    mode: str = "exhaustive",
     max_configs: int = 100_000,
     samples: int = 20,
     seed: int = 0,
-    outputs: Optional[tuple] = None,
     budget: int = 10_000,
 ) -> PropertyReport:
     """All schedules from one configuration reach one stuck configuration.
 
-    ``mode`` is "exhaustive", "sampled", or an Exhaustive schedule value
-    carrying its own configuration cap. Each sampled run is capped by
-    ``budget`` steps and raises StepBudgetExceeded beyond it.
+    The subject is an operator or a graph. ``mode`` is "exhaustive" or
+    "sampled"; an exhaustive run that meets ``max_configs`` falls back to
+    sampling. Each sampled run is capped by ``budget`` steps and raises
+    StepBudgetExceeded beyond it.
     """
-    from .scheduler import Exhaustive
-
-    if isinstance(mode, Exhaustive):
-        max_configs = mode.max_configs
-        mode = "exhaustive"
-    g = compile_graph(set_inputs(graph, case_inputs))
-    outs = outputs or tuple(bottom(st.collection) for st in out_types(graph))
+    base, out_tys = _compiled(subject)
+    g, outs = _as_graph(base, out_tys, case_inputs)
     details: dict = {}
     if mode == "exhaustive":
         res = explore_all(g, outs, max_configs=max_configs)

@@ -25,7 +25,6 @@ from .core import (
     BoundednessInvariantViolation,
     CollectionLanguage,
     DeferContextMismatch,
-    DeferKeyUnbound,
     DuplicateKey,
     EMPTY,
     Extend,
@@ -305,7 +304,7 @@ class NestState:
     iter_outputs: tuple  # outputs accumulated by the current iteration
 
 
-def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None) -> OperatorDef:
+def make_nest(g, g_o=None, outer_bound: Bound = U) -> OperatorDef:
     """Build the nest operator for an inner graph.
 
     The inner graph must typecheck under matching read and write defer
@@ -316,21 +315,13 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
     iterations; it defaults to ``g`` itself and must have the same type.
     """
     first = compile_graph(g)
-    reads: dict = {}
+    # Both contexts are the graph's own writes; typecheck rejects a read
+    # with no write or at another type, and a key written twice (the first
+    # write's type is kept so the second is the one reported).
     writes: dict = {}
     for n in first.nodes:
-        for key, tag in n.op.defer_reads:
-            if key in reads and reads[key] != tag:
-                raise DeferContextMismatch(f"read_defer key {key!r} used at two types")
-            reads[key] = tag
-        writes.update(n.op.defer_writes)
-    for key, tag in reads.items():
-        if key not in writes:
-            raise DeferKeyUnbound(f"read_defer key {key!r} has no matching write_defer")
-        if writes[key] != tag:
-            raise DeferContextMismatch(
-                f"defer key {key!r} written at {writes[key]} but read at {tag}"
-            )
+        for key, tag in n.op.defer_writes:
+            writes.setdefault(key, tag)
     ctx = DeferContexts(reads=tuple(sorted(writes.items())), writes=tuple(sorted(writes.items())))
     gt = typecheck(first, ctx)
     for st in gt.outputs:
@@ -346,10 +337,9 @@ def make_nest(g, g_o=None, outer_bound: Bound = U, params: Optional[dict] = None
     out_tag = nested_tag(gt.outputs)
     bottoms = tuple(bottom(st.collection) for st in gt.outputs)
     g_rank_arity = len(graph_rank(first).components)
-    if params is None:
-        params = {"bound": outer_bound.value, "graph": g}
-        if g_o is not None:
-            params["copy"] = g_o
+    params = {"bound": outer_bound.value, "graph": g}
+    if g_o is not None:
+        params["copy"] = g_o
 
     def steps(buffers, state, exhaustive):
         (v,) = buffers

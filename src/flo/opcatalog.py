@@ -1,10 +1,10 @@
 """Named registry of operators: builders, harness bindings, fixtures.
 
 Each entry knows how to build its operator from JSON-able parameters (for
-graph files and replay), which binding the per-operator checks run at,
-and how to sample random cases for it. Negative fixtures live here too:
-operators that deliberately violate one guarantee each, kept so the
-checkers stay honest.
+graph files and replay) and which binding the per-operator checks run at;
+``sample_cases`` draws the seeded cases for an operator or a graph.
+Negative fixtures live here too: operators that deliberately violate one
+guarantee each, kept so the checkers stay honest.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .lvar import (
     to_sequence_unbounded,
 )
 from .nested import make_nest, read_defer, write_defer
+from .programs import fold_pipeline
 from .seq import (
     SEQ,
     SeqValue,
@@ -197,10 +198,6 @@ def defer_accumulator_graph():
     return seq_chain(stage1, stage2, stage3, stage4)
 
 
-def fold_inner_graph():
-    return node(fold(0, "add", INT, INT))
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -216,24 +213,28 @@ class OpEntry:
     expect: dict = field(default_factory=lambda: {"eager": True, "progress": True, "rank": True})
 
 
-def _generic_case(op: OperatorDef, rng: random.Random, progress: bool) -> OpCase:
-    if progress:
-        buffers = tuple(
-            gen_value(st.collection, rng, fixed=True if st.bound is B else None)
-            for st in op.inputs
-        )
-        return OpCase(buffers=buffers)
-    buffers = tuple(gen_value(st.collection, rng) for st in op.inputs)
-    delta = tuple(gen_delta(st.collection, rng, b) for st, b in zip(op.inputs, buffers))
-    return OpCase(buffers=buffers, delta=delta, presteps=rng.randint(0, 3))
+def sample_cases(types: tuple, kind: str, count: int, seed: int):
+    """Stream of seeded cases over input stream types for one check kind
+    (eager|progress|rank). Progress cases fix every bounded input; the
+    others carry one delta per input and up to three presteps."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if kind == "progress":
+            buffers = tuple(
+                gen_value(st.collection, rng, fixed=True if st.bound is B else None)
+                for st in types
+            )
+            yield OpCase(buffers=buffers)
+            continue
+        buffers = tuple(gen_value(st.collection, rng) for st in types)
+        delta = tuple(gen_delta(st.collection, rng, b) for st, b in zip(types, buffers))
+        yield OpCase(buffers=buffers, delta=delta, presteps=rng.randint(0, 3))
 
 
 def cases_for(entry: OpEntry, kind: str, count: int, seed: int):
-    """Stream of sampled cases for one check kind (eager|progress|rank)."""
-    rng = random.Random(seed)
+    """``sample_cases`` over the entry's operator at the check's binding."""
     op = entry.op_progress if kind == "progress" else entry.op_eager
-    for _ in range(count):
-        yield _generic_case(op, rng, progress=kind == "progress")
+    return sample_cases(op.inputs, kind, count, seed)
 
 
 REGISTRY: dict[str, OpEntry] = {}
@@ -430,7 +431,7 @@ def _build_nest(p):
         if inner_name == "defer_accumulator":
             g = defer_accumulator_graph()
         elif inner_name == "fold_sum":
-            g = fold_inner_graph()
+            g = fold_pipeline()
         else:
             raise FloError(f"unknown inner graph {inner_name!r}")
     else:

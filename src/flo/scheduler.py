@@ -64,11 +64,6 @@ class Scripted:
     choices: tuple  # of StepChoice
 
 
-@dataclass(frozen=True)
-class Exhaustive:
-    max_configs: int = 100_000
-
-
 # Pickers are called as ``picker(choices, step_index)``, the protocol of
 # ``graph.trajectory``; they keep their own position across iterations.
 

@@ -247,7 +247,7 @@ class RepeatState:
     done: bool
 
 
-def repeat_nested(data_tag: Tag, count_known_bound: Bound = B) -> OperatorDef:
+def repeat_nested(data_tag: Tag) -> OperatorDef:
     """Duplicate a bounded input into k closed inner streams.
 
     Waits for the input to fix (duplication must be complete) and for the

@@ -308,3 +308,21 @@ def test_replay_determinism_counterexample(tmp_path, capsys):
     assert main(["replay", str(cx)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "Fail" and out["property"] == "Determinism"
+
+
+def test_operator_determinism_reads_the_inputs_file(tmp_path, capsys):
+    from flo.graph import node
+    from flo.harness import check_determinism
+    from flo.jsonio import encode_value
+    from flo.opcatalog import REGISTRY
+    from flo.seq import seq
+
+    value = seq(*range(6))
+    ins = write(tmp_path, "ins.json", [encode_value(value)])
+    args = ["check", "--operator", "map", "--property", "determinism", "--exhaustive"]
+    assert main(args) == 0
+    seeded = json.loads(capsys.readouterr().out)["details"]["configs"]
+    assert main(args + ["--inputs", ins]) == 0
+    configs = json.loads(capsys.readouterr().out)["details"]["configs"]
+    expected = check_determinism(node(REGISTRY["map"].op_eager), (value,)).details["configs"]
+    assert configs == expected != seeded

@@ -204,11 +204,69 @@ def test_streaming_ops_pass_at_bounded_binding_too(name):
     assert check_progress(op, progress_cases).passed
 
 
-def test_exhaustive_schedule_value_sets_the_cap():
-    from flo.scheduler import Exhaustive
 
-    g = five_node_graph()
-    ins = (seq(1, 2, 3), seq(1, 2, 3))
-    report = check_determinism(g, ins, mode=Exhaustive(50), samples=10)
-    assert report.passed
-    assert "warning" in report.details
+def _buffer_corrupter():
+    """Fixture: its one step writes "x" into its own seq<int> buffer."""
+    from flo.core import OperatorDef, Rank, StepResult, StreamType, U
+    from flo.seq import seq_tag
+
+    def steps(buffers, state, exhaustive):
+        if state:
+            return []
+        return [StepResult((SeqValue(False, ("x",)),), True, (EMPTY,), "corrupt")]
+
+    st = StreamType(seq_tag(INT), U)
+    return OperatorDef(
+        name="bad",
+        inputs=(st,),
+        outputs=(st,),
+        initial_state=False,
+        steps_fn=steps,
+        rank_fn=lambda buffers, state: Rank((0 if state else 1,)),
+    )
+
+
+@pytest.mark.parametrize("as_graph", [False, True])
+def test_buffer_leaving_its_type_is_a_preservation_fail(as_graph):
+    bad = _buffer_corrupter()
+    subject = node(bad) if as_graph else bad
+    report = check_rank_and_preservation(subject, [OpCase(buffers=(seq(1),))])
+    assert report.prop == "Preservation" and not report.passed
+    assert report.details["reason"] == "input buffer left its collection type"
+    assert report.counterexample["buffer"] == SeqValue(False, ("x",))
+    # the recorded case replays to the same verdict
+    again = check_rank_and_preservation(subject, [report.counterexample["case"]])
+    assert again.prop == "Preservation" and not again.passed
+
+
+def test_determinism_takes_an_operator():
+    op = REGISTRY["coin"].op_eager
+    report = check_determinism(op, (seq(1),))
+    assert not report.passed
+    cx = report.counterexample
+    assert cx["schedule_a"] != cx["schedule_b"]
+    assert report.details == check_determinism(node(op), (seq(1),)).details
+
+
+def test_graph_cases_match_operator_cases():
+    from flo.graph import in_types
+    from flo.opcatalog import sample_cases
+
+    e = REGISTRY["zip"]
+    for kind in ("eager", "progress"):
+        op = e.op_progress if kind == "progress" else e.op_eager
+        graph_cases = list(sample_cases(in_types(node(op)), kind, 20, seed=5))
+        assert graph_cases == list(cases_for(e, kind, 20, seed=5))
+
+
+def test_unregistered_tag_has_no_delta_unless_empty():
+    from flo.core import Tag
+    from flo.gen import gen_delta
+
+    outcomes = set()
+    for seed in range(40):
+        try:
+            outcomes.add(gen_delta(Tag("bogus"), random.Random(seed), None))
+        except ValueError:
+            outcomes.add("raised")
+    assert outcomes == {EMPTY, "raised"}
