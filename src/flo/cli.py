@@ -13,7 +13,7 @@ import os
 import random
 import sys
 
-from .core import FloError, GraphTypeError, bottom
+from .core import FloError, bottom
 from .gen import gen_value
 from .graph import explore_all, in_types, set_inputs, typecheck
 from .harness import (
@@ -39,10 +39,6 @@ from .opcatalog import REGISTRY, build_operator, sample_cases
 from .scheduler import RandomSched, RoundRobin, run_trace
 
 
-class NotACounterexample(FloError):
-    pass
-
-
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -56,28 +52,14 @@ def _emit(obj) -> None:
 
 
 def cmd_typecheck(args) -> int:
-    graph = decode_graph(_load_json(args.graph))
-    try:
-        gt = typecheck(graph)
-    except GraphTypeError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    _emit(
-        {
-            "inputs": [str(t) for t in gt.inputs],
-            "outputs": [str(t) for t in gt.outputs],
-        }
-    )
+    gt = typecheck(decode_graph(_load_json(args.graph)))
+    _emit({"inputs": [str(t) for t in gt.inputs], "outputs": [str(t) for t in gt.outputs]})
     return 0
 
 
 def cmd_run(args) -> int:
     graph = decode_graph(_load_json(args.graph))
-    try:
-        gt = typecheck(graph)
-    except GraphTypeError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    gt = typecheck(graph)
     trace = decode_trace(_load_json(args.trace), gt.inputs)
     sched = RandomSched(args.seed) if args.schedule == "random" else RoundRobin()
     result = run_trace(graph, trace, sched, drain_seed=args.seed)
@@ -155,15 +137,9 @@ def cmd_explore(args) -> int:
     outs = tuple(bottom(st.collection) for st in gt.outputs)
     res = explore_all(graph, outs, max_configs=args.max_configs)
     distinct = len(dict.fromkeys(res.stuck))
-    _emit(
-        {
-            "configs": res.visited,
-            "stuck": distinct,
-            "capped": res.capped,
-            "unique": distinct == 1 and not res.capped,
-        }
-    )
-    return 0 if distinct == 1 and not res.capped else 1
+    unique = distinct == 1 and not res.capped
+    _emit({"configs": res.visited, "stuck": distinct, "capped": res.capped, "unique": unique})
+    return 0 if unique else 1
 
 
 def cmd_replay(args) -> int:
@@ -278,10 +254,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 2
-    except GraphTypeError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FloError as exc:
+    except FloError as exc:  # a type error or a failed run
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -466,7 +466,7 @@ class CollectionLanguage:
     # the drained parts in drain order rebuilds the original stream.
     def split_all(self, value):
         """(drained, remainder) for a full drain."""
-        return value, self.bottom_like(value)
+        return value, self.bottom_of(value)
 
     def split_prefix(self, value, n: int):
         """Drain up to n oldest units; default drains nothing."""
@@ -480,7 +480,7 @@ class CollectionLanguage:
         """Fold one drained piece back into the running total."""
         return concat(total, self.value_delta(piece))
 
-    def bottom_like(self, value):
+    def bottom_of(self, value):
         raise NotImplementedError
 
 

@@ -4,31 +4,29 @@ A graph is a binary composition tree: sequential composition feeds the
 left subgraph's emissions into the right subgraph's exterior buffers,
 parallel composition runs two subgraphs side by side, and a leaf node is
 an operator with its buffered inputs and private state. All values are
-immutable; every step produces a fresh tree, which makes speculative
-exploration of schedules safe.
+immutable, so speculative exploration of schedules is safe.
 
-Step rules carry their names (sequence-left, sequence-right, par-left,
-par-right, operator) so event logs can be replayed and audited. A log
-entry is a ``StepEvent`` record; ``run_steps`` interns one per choice
-taken in a call, so a log holds one pointer per step.
+Trees are syntax, made by the builders (``node``, ``seq_chain``, ``par``,
+``Seq``, ``Par``) and by ``jsonio``'s codec. ``compile_graph`` turns one
+into the one graph value, a ``FlatGraph``: a wiring ``Plan`` and one
+``Node`` per leaf in tree order. Every function here compiles a tree it
+is given and returns compiled graphs. ``_plan``, the one walk of a tree,
+uses an explicit stack and memory linear in the tree; stepping, hashing,
+comparing and printing a compiled graph recurse nowhere, and neither does
+the codec, so a graph may be far deeper than the recursion limit. (The
+builder trees still recurse in their own ``==``, ``hash`` and ``repr``;
+compare and print compiled graphs instead.) A step names its leaf by index
+(``StepChoice``); the leaf's path label, such as "LR", and its rule chain
+(sequence-left, sequence-right, par-left, par-right, operator) are worked
+out when a log, a report or an error prints them, and kept.
 
-Trees are the syntax; typing and stepping run on a compiled form. The
-rules only move deltas between exterior buffers that the tree fixes, so
-``compile_graph`` computes that wiring once (a ``Plan``) and a
-``FlatGraph`` holds one ``Node`` per leaf. ``_plan`` is the one walk of a
-tree and ``FlatGraph.tree`` the one rebuild; both use an explicit stack,
-and the typechecker and the type queries read the plan, so a graph may
-be far deeper than the interpreter's recursion limit. (Comparing, hashing
-or printing two trees still recurses.) A step replaces one node and
-concats each emitted delta straight into its destination; no composite
-is rebuilt. Every function here takes a tree or a compiled graph and
-gives back the form it was given. ``enabled_steps`` lists the enabled
-steps, ``step_graph`` and ``step_first`` apply one, ``trajectory`` is
-the one run loop built on them, and ``run_steps`` folds it into outputs
-and the log. ``_outcomes`` is the one place an operator is evaluated,
-and a node keeps what it returned (see ``Node``), so an unchanged node
-is never evaluated twice. A tree is rebuilt only when a caller asks for
-one.
+A step replaces one node and concats each emitted delta straight into its
+destination. ``enabled_steps`` lists the steps, ``step_graph`` and
+``step_first`` apply one, ``trajectory`` is the one run loop, and
+``run_steps`` folds it into outputs and a log of interned ``StepEvent``
+records. ``_outcomes`` is the one place an operator is evaluated, and a
+node keeps what it returned, so an unchanged node is never evaluated
+twice.
 """
 
 from __future__ import annotations
@@ -158,9 +156,9 @@ class DeferContexts:
     writes: tuple = ()
 
 
-def _pos(path: tuple) -> str:
-    """A position as errors name it: ``root`` plus the path."""
-    return "root" + "".join("." + step for step in path)
+def _pos(cell) -> str:
+    """A position as errors name it: ``root`` plus the path to a plan cell."""
+    return "root" + "".join("." + step for step in _located(cell)[0])
 
 
 def typecheck(e, ctx: Optional[DeferContexts] = None) -> GraphType:
@@ -180,7 +178,7 @@ def typecheck(e, ctx: Optional[DeferContexts] = None) -> GraphType:
     seen = {}
     for i, n in enumerate(nodes):
         for key, tag in n.op.defer_writes:
-            pos = _pos(plan.paths[i])
+            pos = _pos(plan.cells[i])
             if key in seen:
                 raise DeferKeyReusedOrUnused(f"defer key {key!r} written more than once", pos)
             seen[key] = tag
@@ -198,18 +196,18 @@ def typecheck(e, ctx: Optional[DeferContexts] = None) -> GraphType:
         op = n.op
         for key, tag in op.defer_reads:
             if key not in reads:
-                raise DeferKeyUnbound(f"read_defer key {key!r} not in context", _pos(plan.paths[i]))
+                raise DeferKeyUnbound(f"read_defer key {key!r} not in context", _pos(plan.cells[i]))
             if reads[key] != tag:
                 raise DeferContextMismatch(
                     f"read_defer key {key!r} has {tag}, context expects {reads[key]}",
-                    _pos(plan.paths[i]),
+                    _pos(plan.cells[i]),
                 )
         if len(n.buffers) != len(op.inputs):
-            raise ArityMismatch(f"{op.name}: buffer arity", _pos(plan.paths[i]))
+            raise ArityMismatch(f"{op.name}: buffer arity", _pos(plan.cells[i]))
         for b, (buf, st) in enumerate(zip(n.buffers, op.inputs)):
             if not member(buf, st.collection):
                 raise BufferTypeMismatch(
-                    f"{op.name}: buffer {b} is not a {st.collection}", _pos(plan.paths[i])
+                    f"{op.name}: buffer {b} is not a {st.collection}", _pos(plan.cells[i])
                 )
 
     for i, n in enumerate(nodes):
@@ -219,7 +217,7 @@ def typecheck(e, ctx: Optional[DeferContexts] = None) -> GraphType:
             dest = nodes[j].op
             wanted = dest.inputs[b]
             if not subtype(o, wanted):
-                pos = _pos(plan.paths[j])
+                pos = _pos(plan.cells[j])
                 if o.collection == wanted.collection:
                     raise BoundednessViolation(f"{o} cannot feed {wanted} of {dest.name}", pos)
                 raise SubtypeMismatch(f"{o} is not a subtype of {wanted}", f"{pos}[{b}]")
@@ -237,22 +235,30 @@ class Plan:
     Leaves are numbered in tree order. The composition rules only move
     deltas between exterior buffers that the tree fixes, so every output
     port of every leaf has one destination: a (leaf, buffer) pair, or
-    ``(-1, port)`` for a graph output.
+    ``(-1, port)`` for a graph output. Each field holds O(1) entries per
+    tree position; ``where`` keeps a leaf's path and rules once asked.
     """
 
     shape: tuple  # the tree's kinds (Node, Seq or Par) in post-order
-    paths: tuple  # per leaf: its path, a tuple of "L"/"R"
-    rules: tuple  # per leaf: the rule chain of a step there, outermost first
+    cells: tuple  # per leaf: (parent's cell, (path step, rule)), None at the root
+    located: list  # per leaf: what ``where`` returned for it, or None
     wires: tuple  # per leaf, per output port: (leaf, buffer) or (-1, port)
     in_leaves: tuple  # (leaf, lo, hi): that leaf's buffers are exterior inputs lo:hi
     outs: tuple  # the graph outputs in order, as (leaf, port)
     n_in: int  # number of exterior inputs
     blank: tuple  # one EMPTY per graph output
     direct: tuple  # per leaf: its output ports are the graph outputs, in order
-    index: dict  # path -> leaf
-    firsts: tuple  # per leaf: StepChoice(path, 0)
+    firsts: tuple  # per leaf: StepChoice(leaf, 0)
     reads: tuple  # (read_defer key, leaf) in tree order
     writes: tuple  # (write_defer key, leaf) in tree order
+
+    def where(self, i: int) -> tuple:
+        """``_located`` of leaf ``i``, worked out on first use and kept, so
+        a step that asks again does no new work."""
+        hit = self.located[i]
+        if hit is None:
+            hit = self.located[i] = _located(self.cells[i])
+        return hit
 
 
 # Per composite kind: the (path step, rule) of its left and right edges.
@@ -262,73 +268,94 @@ _EDGES = {
 }
 
 
+def _located(cell) -> tuple:
+    """(label, rules) of the leaf a plan cell reaches: its path as "L"/"R"
+    letters, such as "LR" ("" for a graph that is one node), and the rule
+    chain of a step there, outermost first."""
+    steps, rules = [], ["operator"]
+    while cell is not None:
+        cell, (step, rule) = cell
+        steps.append(step)
+        rules.append(rule)
+    return "".join(reversed(steps)), tuple(reversed(rules))
+
+
 def _plan(e) -> tuple:
     """(Plan, leaves) of a tree, in one post-order walk with an explicit
-    stack. The one place a tree's structure is worked out."""
-    leaves, paths, rules, wires, shape = [], [], [], [], []
+    stack. The one place a tree's structure is worked out. A subtree is
+    reached through a cell, (its parent's cell, the edge into it), which
+    its leaves share, so the walk takes time and memory linear in the tree."""
+    leaves, cells, wires, shape = [], [], [], []
     # Per finished subtree: its exterior inputs as (leaf, buffer) pairs and
     # its exterior outputs as (leaf, port) pairs.
     done: list = []
-    # The path and rule chain of the subtree being visited; a subtree at
-    # depth d owns entries d and up, so its ancestors' stay in place.
-    path: list = []
-    chain: list = []
-    stack = [(e, 0, None, False)]  # (subtree, depth, edge into it, children done)
+    stack = [(e, None, False)]  # (subtree, its cell, children done)
     while stack:
-        g, d, edge, expanded = stack.pop()
-        if edge is not None:
-            path[d - 1:] = edge[:1]
-            chain[d - 1:] = edge[1:]
+        g, cell, expanded = stack.pop()
         kind = type(g)
         if kind is Node:
             i, n_out = len(leaves), len(g.op.outputs)
             leaves.append(g)
-            paths.append(tuple(path))
-            rules.append((*chain, "operator"))
+            cells.append(cell)
             wires.append([None] * n_out)
             shape.append(Node)
             done.append(([(i, b) for b in range(len(g.buffers))], [(i, p) for p in range(n_out)]))
         elif kind not in _EDGES:
-            raise GraphTypeError(f"not a graph expression: {g!r}", _pos(path))
+            raise GraphTypeError(f"not a graph expression: {g!r}", _pos(cell))
         elif not expanded:
             left, right = _EDGES[kind]
-            stack += ((g, d, None, True), (g.right, d + 1, right, False), (g.left, d + 1, left, False))
+            stack += ((g, cell, True), (g.right, (cell, right), False), (g.left, (cell, left), False))
         else:
             shape.append(kind)
             r_in, r_out = done.pop()
             l_in, l_out = done.pop()
             if kind is Par:
-                done.append((l_in + r_in, l_out + r_out))
+                done.append(((l_in, r_in), (l_out, r_out)))
                 continue
             # A sequence wires its left outputs to its right inputs.
+            l_out, r_in = _flat(l_out), _flat(r_in)
             if len(l_out) != len(r_in):
-                raise ArityMismatch(f"{len(l_out)} outputs feed {len(r_in)} inputs", _pos(path[:d]))
+                raise ArityMismatch(f"{len(l_out)} outputs feed {len(r_in)} inputs", _pos(cell))
             for (i, p), dest in zip(l_out, r_in):
                 wires[i][p] = dest
             done.append((l_in, r_out))
     ((ins, outs),) = done
+    ins, outs = _flat(ins), _flat(outs)
     graph_outs = [(-1, port) for port in range(len(outs))]
     for (i, p), dest in zip(outs, graph_outs):
         wires[i][p] = dest
     plan = Plan(
         shape=tuple(shape),
-        paths=tuple(paths),
-        rules=tuple(rules),
+        cells=tuple(cells),
+        located=[None] * len(leaves),
         wires=tuple(tuple(w) for w in wires),
         in_leaves=_in_leaves(ins),
         outs=tuple(outs),
         n_in=len(ins),
         blank=(EMPTY,) * len(outs),
         direct=tuple(w == graph_outs for w in wires),
-        index={p: i for i, p in enumerate(paths)},
-        firsts=tuple(StepChoice(p, 0) for p in paths),
+        firsts=tuple(StepChoice(i, 0) for i in range(len(leaves))),
         reads=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_reads),
         writes=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_writes),
     )
     return plan, tuple(leaves)
 
 
-def _in_leaves(ins: list) -> tuple:
+def _flat(rope) -> list:
+    """The pairs of a rope: a leaf's list, or (left rope, right rope) for a
+    ``Par``. Joining copies nothing, and each rope is flattened once, by
+    the sequence that wires it or at the root."""
+    out, stack = [], [rope]
+    while stack:
+        r = stack.pop()
+        if type(r) is list:
+            out += r
+        else:
+            stack += (r[1], r[0])
+    return out
+
+
+def _in_leaves(ins) -> tuple:
     # A leaf's buffers are either all exterior inputs or all fed from inside,
     # depending only on where the leaf sits, so the exterior inputs split
     # into runs of whole buffer tuples, one per leaf.
@@ -342,19 +369,18 @@ def _in_leaves(ins: list) -> tuple:
 
 
 class FlatGraph:
-    """A compiled graph: its plan and one ``Node`` per leaf, in tree order.
+    """A compiled graph, the one graph value past the builders: its plan
+    and one ``Node`` per leaf, in tree order.
 
-    It compares, hashes and prints as the tree it stands for. ``_base`` is
-    the last tree known for this shape, whose untouched subtrees ``tree()``
-    hands back as themselves.
+    Two compiled graphs are equal when their shapes and nodes are; one
+    hashes as its nodes, and prints as the tree it was compiled from.
     """
 
-    __slots__ = ("plan", "nodes", "_base")
+    __slots__ = ("plan", "nodes")
 
-    def __init__(self, plan: Plan, nodes: tuple, base):
+    def __init__(self, plan: Plan, nodes: tuple):
         self.plan = plan
         self.nodes = nodes
-        self._base = base
 
     def __eq__(self, other):
         if not isinstance(other, FlatGraph):
@@ -367,44 +393,36 @@ class FlatGraph:
         return hash(self.nodes)
 
     def __repr__(self):
-        return repr(self.tree())
+        # The tree's dataclass repr, written with an explicit stack.
+        pieces, stack = [], [self.tree()]
+        while stack:
+            g = stack.pop()
+            if type(g) is str:
+                pieces.append(g)
+            elif type(g) is Node:
+                pieces.append(repr(g))
+            else:
+                stack += (")", g.right, ", right=", g.left, f"{type(g).__name__}(left=")
+        return "".join(pieces)
 
     def tree(self):
-        """The tree this stands for; subtrees whose leaves did not change
-        come back as the same objects."""
+        """The composition tree this graph stands for, rebuilt from the shape."""
+        built: list = []
         leaves = iter(self.nodes)
-        built: list = []  # finished subtrees, left to right
-        stack = [(self._base, False)]
-        while stack:
-            g, expanded = stack.pop()
-            if type(g) is Node:
+        for kind in self.plan.shape:
+            if kind is Node:
                 built.append(next(leaves))
-            elif not expanded:
-                stack += ((g, True), (g.right, False), (g.left, False))
             else:
                 right = built.pop()
-                left = built.pop()
-                built.append(g if left is g.left and right is g.right else type(g)(left, right))
-        (self._base,) = built
-        return self._base
+                built[-1] = kind(built[-1], right)
+        return built[0]
 
 
 def compile_graph(e) -> FlatGraph:
     """The compiled form of a tree; a compiled graph is returned as is."""
     if isinstance(e, FlatGraph):
         return e
-    plan, leaves = _plan(e)
-    return FlatGraph(plan, leaves, e)
-
-
-def as_tree(e):
-    """The tree form of a tree or a compiled graph."""
-    return e.tree() if isinstance(e, FlatGraph) else e
-
-
-def _like(e, g: FlatGraph):
-    """``g`` in the form ``e`` was given in."""
-    return g if isinstance(e, FlatGraph) else g.tree()
+    return FlatGraph(*_plan(e))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +437,10 @@ def inputs(e) -> tuple:
     return ins
 
 
-def set_inputs(e, new: tuple):
+def set_inputs(e, new: tuple) -> FlatGraph:
     """Replace the exterior buffers. Nothing is rebuilt for a buffer that is
-    the same object as before, so untouched nodes (and, on a tree,
-    untouched subtrees) come back as themselves with their memo."""
+    the same object as before, so untouched nodes come back as themselves
+    with their memo, and the graph itself when no buffer changed."""
     g = compile_graph(e)
     if len(new) != g.plan.n_in:
         raise ArityMismatch(f"{len(new)} values for {g.plan.n_in} inputs")
@@ -434,7 +452,7 @@ def set_inputs(e, new: tuple):
             if nodes is None:
                 nodes = list(g.nodes)
             nodes[i] = Node(bufs, n.op, n.state)
-    return e if nodes is None else _like(e, FlatGraph(g.plan, tuple(nodes), g._base))
+    return g if nodes is None else FlatGraph(g.plan, tuple(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +461,11 @@ def set_inputs(e, new: tuple):
 
 @record
 class StepChoice:
-    path: tuple  # of "L"/"R", ending at a Node
+    leaf: int  # the leaf's number in tree order
     index: int  # operator-internal choice
 
     def __str__(self):
-        return f"{''.join(self.path) or '.'}#{self.index}"
+        return f"leaf {self.leaf}#{self.index}"
 
 
 _SET_FAST, _SET_FULL = Node._fast.__set__, Node._full.__set__  # the memo slots' stores
@@ -492,11 +510,11 @@ def _advance(g: FlatGraph, i: int, r):
             if fed is not buf:  # a fixed buffer absorbs the delta and stays as it is
                 nodes[j] = Node(dest.buffers[:b] + (fed,) + dest.buffers[b + 1:], dest.op, dest.state)
         deltas = plan.blank if outs is None else tuple(outs)
-    return FlatGraph(plan, tuple(nodes), g._base), deltas
+    return FlatGraph(plan, tuple(nodes)), deltas
 
 
 def enabled_steps(e, exhaustive: bool = False) -> list:
-    """Every applicable step, identified by node path and choice index."""
+    """Every applicable step, identified by leaf and choice index."""
     g = compile_graph(e)
     plan, out = g.plan, []
     for i, n in enumerate(g.nodes):
@@ -504,22 +522,21 @@ def enabled_steps(e, exhaustive: bool = False) -> list:
         if rs:
             out.append(plan.firsts[i])
             if len(rs) > 1:
-                out += [StepChoice(plan.paths[i], k) for k in range(1, len(rs))]
+                out += [StepChoice(i, k) for k in range(1, len(rs))]
     return out
 
 
 def step_graph(e, choice: StepChoice, exhaustive: bool = False):
-    """Apply one chosen step; returns (graph', output deltas, rule chain),
-    with graph' in the form ``e`` was given in."""
+    """Apply one chosen step; returns (graph', output deltas, rule chain)."""
     g = compile_graph(e)
-    i = g.plan.index.get(choice.path)
-    if i is None:
-        raise InvalidChoice(f"path {''.join(choice.path) or '.'} does not end at an operator node")
+    i = choice.leaf
+    if not 0 <= i < len(g.nodes):
+        raise InvalidChoice(f"no leaf {i} in a graph of {len(g.nodes)} leaves")
     rs = _outcomes(g.nodes[i], exhaustive)
     if choice.index >= len(rs):
         raise InvalidChoice(f"{g.nodes[i].op.name}: choice {choice.index} of {len(rs)}")
     g2, deltas = _advance(g, i, rs[choice.index])
-    return _like(e, g2), deltas, g.plan.rules[i]
+    return g2, deltas, g.plan.where(i)[1]
 
 
 def step_first(e):
@@ -533,7 +550,7 @@ def step_first(e):
         rs = _outcomes(n, False)
         if rs:
             g2, deltas = _advance(g, i, rs[0])
-            return _like(e, g2), deltas, g.plan.rules[i], g.plan.firsts[i]
+            return g2, deltas, g.plan.where(i)[1], g.plan.firsts[i]
     return None
 
 
@@ -542,8 +559,7 @@ def apply_outputs(outputs: tuple, deltas: tuple) -> tuple:
 
 
 def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
-    """The run loop: yield (graph', deltas, rules, choice) for each step,
-    with graph' compiled.
+    """The run loop: yield (graph', deltas, rules, choice) for each step.
 
     ``picker(choices, step_index)`` selects among the enabled steps, or
     returns None to stop; without a picker the first enabled step in tree
@@ -587,8 +603,7 @@ class StepEvent:
 
 def run_steps(e, outputs: tuple, picker=None, cap=None, log=None, iteration=None):
     """Follow ``trajectory``, folding emissions into the outputs and logging
-    every step as a ``StepEvent``; returns (graph, outputs, steps taken),
-    with the graph in the form ``e`` was given in."""
+    every step as a ``StepEvent``; returns (graph, outputs, steps taken)."""
     g, steps = compile_graph(e), 0
     blank = g.plan.blank  # what _advance returns when no delta reaches an output
     events: dict = {}  # StepChoice -> its event; one plan runs here, so the choice fixes the rules
@@ -598,10 +613,10 @@ def run_steps(e, outputs: tuple, picker=None, cap=None, log=None, iteration=None
         if log is not None:
             ev = events.get(choice)
             if ev is None:
-                ev = events[choice] = StepEvent(iteration, "".join(choice.path), choice.index, rules)
+                ev = events[choice] = StepEvent(iteration, g.plan.where(choice.leaf)[0], choice.index, rules)
             log.append(ev)
         steps += 1
-    return _like(e, g), outputs, steps
+    return g, outputs, steps
 
 
 def run_to_stuck(
@@ -634,30 +649,26 @@ class ExploreResult:
     stuck: list  # distinct stuck (graph, outputs) configurations
     visited: int
     capped: bool
-    parents: dict  # compiled config -> (parent config, StepChoice)
+    parents: dict  # every config seen -> (parent config, StepChoice), or None at the start
 
     def path_to(self, config) -> list:
         """Reconstruct the choice sequence that reaches ``config``."""
-        path = []
-        config = (compile_graph(config[0]), config[1])
-        while True:
-            prev = self.parents.get(config)
-            if prev is None:
-                return list(reversed(path))
+        path, prev = [], self.parents.get((compile_graph(config[0]), config[1]))
+        while prev is not None:
             config, choice = prev
             path.append(choice)
+            prev = self.parents.get(config)
+        return path[::-1]
 
 
 def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
     """Breadth-first exploration of every schedule, with state dedup.
 
     Each configuration is recorded with the parent it was first reached
-    from, so ``path_to`` returns a shortest schedule. Stuck configurations
-    come back in the form ``e`` was given in.
+    from, so ``path_to`` returns a shortest schedule.
     """
     start = (compile_graph(e), outputs)
     blank = start[0].plan.blank
-    seen = {start}
     queue = deque([start])
     parents: dict = {start: None}
     stuck = []
@@ -667,20 +678,19 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
         g, outs = cfg
         choices = enabled_steps(g, exhaustive=True)
         if not choices:
-            stuck.append((_like(e, g), outs))
+            stuck.append(cfg)
             continue
         for ch in choices:
             g2, deltas, _rules = step_graph(g, ch, exhaustive=True)
             nxt = (g2, outs if deltas is blank else apply_outputs(outs, deltas))
-            if nxt in seen:
+            if nxt in parents:
                 continue
-            if len(seen) >= max_configs:
+            if len(parents) >= max_configs:
                 capped = True
                 continue
-            seen.add(nxt)
             parents[nxt] = (cfg, ch)
             queue.append(nxt)
-    return ExploreResult(stuck=stuck, visited=len(seen), capped=capped, parents=parents)
+    return ExploreResult(stuck=stuck, visited=len(parents), capped=capped, parents=parents)
 
 
 # ---------------------------------------------------------------------------

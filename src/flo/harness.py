@@ -36,7 +36,6 @@ from .core import (
 )
 from .graph import (
     apply_outputs,
-    as_tree,
     budget_message,
     compile_graph,
     enabled_steps,
@@ -78,17 +77,22 @@ class OpCase:
 
 def _compiled(subject):
     """The subject (an operator or a graph) compiled once, and its output types."""
-    if isinstance(subject, OperatorDef):
-        return compile_graph(node(subject)), subject.outputs
-    return compile_graph(subject), out_types(subject)
+    g = compile_graph(node(subject) if isinstance(subject, OperatorDef) else subject)
+    return g, out_types(g)
 
 
 def _as_graph(base, out_tys, buffers: tuple):
     return set_inputs(base, buffers), tuple(bottom(st.collection) for st in out_tys)
 
 
-def _tree_config(config):
-    return as_tree(config[0]), config[1]
+def _shown(g, choice) -> str:
+    """A choice as a report prints it: by its leaf's path in ``g``."""
+    return f"StepChoice(path={tuple(g.plan.where(choice.leaf)[0])!r}, index={choice.index})"
+
+
+def _schedule(g, choices) -> list:
+    """Choices in ``g`` in the JSON form of a counterexample schedule."""
+    return [{"path": g.plan.where(c.leaf)[0], "choice": c.index} for c in choices]
 
 
 def _feed(g, deltas):
@@ -104,26 +108,21 @@ def check_eager(subject, cases, budget: int = 4000) -> PropertyReport:
     """Delta before a step and delta after a step must converge."""
     base, out_tys = _compiled(subject)
     n = 0
-    for case in cases:
-        n += 1
+    for n, case in enumerate(cases, 1):
         g0, outs0 = _as_graph(base, out_tys, case.buffers)
         g0, outs0, _ = run_steps(g0, outs0, cap=case.presteps)
-        target_g, target_o, _ = run_to_stuck(_feed(g0, case.delta), outs0, budget=budget)
-        failed = None
+        target = run_to_stuck(_feed(g0, case.delta), outs0, budget=budget)[:2]
         for choice in enabled_steps(g0):
             g1, deltas, _ = step_graph(g0, choice)
-            o1 = apply_outputs(outs0, deltas)
-            s_g, s_o, _ = run_to_stuck(_feed(g1, case.delta), o1, budget=budget)
-            if (s_g, s_o) != (target_g, target_o):
-                failed = {
+            stuck = run_to_stuck(_feed(g1, case.delta), apply_outputs(outs0, deltas), budget=budget)[:2]
+            if stuck != target:
+                cx = {
                     "case": case,
-                    "choice": choice,
-                    "stuck_after_step": _tree_config((s_g, s_o)),
-                    "stuck_delta_first": _tree_config((target_g, target_o)),
+                    "choice": _shown(g0, choice),
+                    "stuck_after_step": stuck,
+                    "stuck_delta_first": target,
                 }
-                break
-        if failed is not None:
-            return PropertyReport("EagerExecution", "Fail", n, failed)
+                return PropertyReport("EagerExecution", "Fail", n, cx)
     return PropertyReport("EagerExecution", "Pass", n)
 
 
@@ -135,8 +134,7 @@ def check_progress(subject, cases, budget: int = 4000) -> PropertyReport:
     """Bounded outputs fixed at stuck; outputs maximal under input fixing."""
     base, outs_types = _compiled(subject)
     n = 0
-    for case in cases:
-        n += 1
+    for n, case in enumerate(cases, 1):
         g0, outs0 = _as_graph(base, outs_types, case.buffers)
         _, o1, _ = run_to_stuck(g0, outs0, budget=budget)
         for st, value in zip(outs_types, o1):
@@ -180,8 +178,7 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
     base, outs_types = _compiled(subject)
     pick = make_picker(RandomSched(seed))
     n = 0
-    for case in cases:
-        n += 1
+    for n, case in enumerate(cases, 1):
         g, outs = _as_graph(base, outs_types, case.buffers)
         before = None  # the rank of g, carried over from the previous step
         steps = 0
@@ -190,38 +187,32 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
                 before = graph_rank(g)
             after = graph_rank(g2)
             if not after < before:
-                return PropertyReport(
-                    "RankDescent",
-                    "Fail",
-                    n,
-                    {"case": case, "choice": choice, "before": before, "after": after},
-                    {"reason": "rank did not decrease"},
-                )
+                cx = {"case": case, "choice": _shown(g, choice), "before": before, "after": after}
+                return PropertyReport("RankDescent", "Fail", n, cx, {"reason": "rank did not decrease"})
             outs = apply_outputs(outs, deltas)
-            for st, value in zip(outs_types, outs):
-                if not member(value, st.collection):
-                    return PropertyReport(
-                        "Preservation",
-                        "Fail",
-                        n,
-                        {"case": case, "choice": choice, "output": value},
-                        {"reason": "output left its collection type"},
-                    )
-            for leaf in g2.nodes:
-                for st, buf in zip(leaf.op.inputs, leaf.buffers):
-                    if not member(buf, st.collection):
-                        return PropertyReport(
-                            "Preservation",
-                            "Fail",
-                            n,
-                            {"case": case, "choice": choice, "buffer": buf},
-                            {"reason": "input buffer left its collection type"},
-                        )
+            left = _left_type(outs_types, outs, g2)
+            if left is not None:
+                info, reason = left
+                cx = {"case": case, "choice": _shown(g, choice), **info}
+                return PropertyReport("Preservation", "Fail", n, cx, {"reason": reason})
             g, before = g2, after
             steps += 1
         if steps > budget:
             raise StepBudgetExceeded(budget_message(budget, steps, g))
     return PropertyReport("RankDescent", "Pass", n)
+
+
+def _left_type(out_types, outs, g):
+    """(info, reason) for an output or a leaf buffer of ``g`` outside its
+    collection type, or None."""
+    for st, value in zip(out_types, outs):
+        if not member(value, st.collection):
+            return {"output": value}, "output left its collection type"
+    for leaf in g.nodes:
+        for st, buf in zip(leaf.op.inputs, leaf.buffers):
+            if not member(buf, st.collection):
+                return {"buffer": buf}, "input buffer left its collection type"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +233,9 @@ def check_determinism(
     The subject is an operator or a graph. ``mode`` is "exhaustive" or
     "sampled"; an exhaustive run that meets ``max_configs`` falls back to
     sampling. Each sampled run is capped by ``budget`` steps and raises
-    StepBudgetExceeded beyond it.
+    StepBudgetExceeded beyond it. An exploration that ends uncapped with
+    no stuck configuration fails with a lasso: the schedule to a
+    configuration that repeats, and the cycle back to it.
     """
     base, out_tys = _compiled(subject)
     g, outs = _as_graph(base, out_tys, case_inputs)
@@ -254,6 +247,11 @@ def check_determinism(
             details = {"configs": res.visited, "stuck": len(distinct)}
             if len(distinct) == 1:
                 return PropertyReport("Determinism", "Pass", 1, None, details)
+            if not distinct:
+                schedule, cycle = _lasso(g, outs)
+                details["reason"] = "no schedule reaches a stuck configuration"
+                cx = {"inputs": case_inputs, "schedule": _schedule(g, schedule), "cycle": _schedule(g, cycle)}
+                return PropertyReport("Determinism", "Fail", 1, cx, details)
             first, second = distinct[0], distinct[1]
             return PropertyReport(
                 "Determinism",
@@ -261,10 +259,10 @@ def check_determinism(
                 1,
                 {
                     "inputs": case_inputs,
-                    "stuck_a": _tree_config(first),
-                    "stuck_b": _tree_config(second),
-                    "schedule_a": res.path_to(first),
-                    "schedule_b": res.path_to(second),
+                    "stuck_a": first,
+                    "stuck_b": second,
+                    "schedule_a": _schedule(g, res.path_to(first)),
+                    "schedule_b": _schedule(g, res.path_to(second)),
                 },
                 details,
             )
@@ -285,13 +283,28 @@ def check_determinism(
         samples,
         {
             "inputs": case_inputs,
-            "stuck_a": _tree_config(a),
-            "stuck_b": _tree_config(b2),
+            "stuck_a": a,
+            "stuck_b": b2,
             "seed_a": ia,
             "seed_b": ib,
         },
         details,
     )
+
+
+def _lasso(g, outs) -> tuple:
+    """(schedule, cycle): the run from (g, outs) taking the first exhaustive
+    choice, to the first configuration it revisits, and back. Every
+    configuration reachable must step; with V of them, V + 1 steps do."""
+    cfg, at, choices = (g, outs), {}, []
+    while cfg not in at:
+        at[cfg] = len(choices)
+        choice = enabled_steps(cfg[0], exhaustive=True)[0]
+        g2, deltas, _rules = step_graph(cfg[0], choice, exhaustive=True)
+        cfg = (g2, apply_outputs(cfg[1], deltas))
+        choices.append(choice)
+    k = at[cfg]
+    return choices[:k], choices[k:]
 
 
 # ---------------------------------------------------------------------------

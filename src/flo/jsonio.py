@@ -167,52 +167,68 @@ def decode_delta(j, tag: Tag):
 
 def _encode_param(p):
     """Operator params are JSON except for a nest's graphs and a read_defer's init."""
-    from .graph import Node, Par, Seq
+    from .graph import FlatGraph, Node, Par, Seq
 
-    if isinstance(p, (Node, Seq, Par)):
+    if isinstance(p, (Node, Seq, Par, FlatGraph)):
         return encode_graph(p)
     if getattr(p, "lang", None) in LANGUAGES:
         return encode_value(p)
     return p
 
 
-def encode_graph(e):
-    from .graph import Node, Seq
+def encode_graph(e) -> dict:
+    """The JSON form of a tree or a compiled graph, written with an explicit
+    stack. A right-nested chain of one kind is one n-ary list."""
+    from .graph import FlatGraph, Node, Seq
 
-    if isinstance(e, Node):
-        return {
-            "op": {
-                "name": e.op.name,
-                "params": {k: _encode_param(v) for k, v in e.op.params.items()},
-                "buffers": [encode_value(b) for b in e.buffers],
-            }
-        }
-    if isinstance(e, Seq):
-        return {"seq": [encode_graph(e.left), encode_graph(e.right)]}
-    return {"par": [encode_graph(e.left), encode_graph(e.right)]}
+    if isinstance(e, FlatGraph):
+        e = e.tree()
+    top: list = []
+    stack = [(e, top)]  # (subtree, the list its JSON goes into)
+    while stack:
+        g, into = stack.pop()
+        if isinstance(g, Node):
+            params = {k: _encode_param(v) for k, v in g.op.params.items()}
+            buffers = [encode_value(b) for b in g.buffers]
+            into.append({"op": {"name": g.op.name, "params": params, "buffers": buffers}})
+            continue
+        kind, parts = type(g), []
+        while type(g) is kind:
+            parts.append(g.left)
+            g = g.right
+        parts.append(g)
+        items: list = []
+        into.append({"seq" if kind is Seq else "par": items})
+        stack += ((part, items) for part in reversed(parts))
+    return top[0]
 
 
 def decode_graph(j):
+    """The tree a JSON graph stands for, built with an explicit stack."""
     from .graph import node, par, seq_chain
     from .opcatalog import build_operator
 
-    if not isinstance(j, dict):
-        raise ParseError(f"bad graph {j!r}")
-    if "seq" in j:
-        return seq_chain(*(decode_graph(g) for g in j["seq"]))
-    if "par" in j:
-        return par(*(decode_graph(g) for g in j["par"]))
-    if "op" in j:
-        spec = j["op"]
-        op = build_operator(spec["name"], spec.get("params"))
-        buffers = None
-        if spec.get("buffers"):
-            buffers = tuple(
-                decode_value(v, st.collection)
-                for v, st in zip(spec["buffers"], op.inputs)
-            )
-        return node(op, buffers)
-    raise ParseError(f"bad graph {j!r}")
+    built: list = []  # finished subtrees, left to right
+    stack = [(j, False)]  # (JSON graph, its parts built)
+    while stack:
+        j, expanded = stack.pop()
+        key = next((k for k in ("seq", "par", "op") if k in j), None) if isinstance(j, dict) else None
+        if key is None or (key != "op" and not isinstance(j[key], list)):
+            raise ParseError(f"bad graph {j!r}")
+        if key == "op":
+            spec = j["op"]
+            op = build_operator(spec["name"], spec.get("params"))
+            buffers = None
+            if spec.get("buffers"):
+                buffers = tuple(decode_value(v, st.collection) for v, st in zip(spec["buffers"], op.inputs))
+            built.append(node(op, buffers))
+        elif expanded:
+            first = len(built) - len(j[key])
+            built[first:] = [(seq_chain if key == "seq" else par)(*built[first:])]
+        else:
+            stack.append((j, True))
+            stack += ((part, False) for part in reversed(j[key]))
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +284,10 @@ def encode_report(report, subject_desc: dict) -> dict:
     return out
 
 
+# Counterexample keys that hold schedules, already as [{"path", "choice"}].
+_SCHEDULES = ("schedule_a", "schedule_b", "schedule", "cycle")
+
+
 def encode_counterexample(report, subject_desc: dict) -> dict:
     cx = report.counterexample
     out = dict(subject_desc)
@@ -282,14 +302,10 @@ def encode_counterexample(report, subject_desc: dict) -> dict:
         }
     if "inputs" in cx:
         out["inputs"] = [encode_value(v) for v in cx["inputs"]]
-    if "schedule_a" in cx:
-        out["schedule_a"] = [{"path": "".join(c.path), "choice": c.index} for c in cx["schedule_a"]]
-        out["schedule_b"] = [{"path": "".join(c.path), "choice": c.index} for c in cx["schedule_b"]]
-    info = {
-        k: _plain(v)
-        for k, v in cx.items()
-        if k not in ("case", "inputs", "schedule_a", "schedule_b")
-    }
+    for key in _SCHEDULES:
+        if key in cx:
+            out[key] = cx[key]
+    info = {k: _plain(v) for k, v in cx.items() if k not in ("case", "inputs", *_SCHEDULES)}
     if info:
         out["info"] = info
     return out

@@ -180,7 +180,7 @@ class LVarLanguage(CollectionLanguage):
     def bottom(self, tag):
         return LVarValue(tag.params[0], lattice(tag.params[0]).bottom, False)
 
-    def bottom_like(self, value):
+    def bottom_of(self, value):
         return LVarValue(value.lattice, lattice(value.lattice).bottom, False)
 
     def content_size(self, value):

@@ -55,7 +55,6 @@ from .graph import (
     DeferContexts,
     FlatGraph,
     Node,
-    _like,
     compile_graph,
     enabled_steps,
     graph_rank,
@@ -153,7 +152,7 @@ class NestedLanguage(CollectionLanguage):
     def bottom(self, tag):
         return NestedSeqValue(False, (), tag.params)
 
-    def bottom_like(self, value):
+    def bottom_of(self, value):
         return NestedSeqValue(False, (), value.inner_types)
 
     def content_size(self, value):
@@ -276,18 +275,18 @@ def collect_defer(e) -> dict:
     return out
 
 
-def set_defer(e, values: dict):
-    """The graph with every read_defer's pending value replaced, in the form
-    it was given in; other nodes are kept as they are."""
+def set_defer(e, values: dict) -> FlatGraph:
+    """The graph with every read_defer's pending value replaced; other
+    nodes are kept as they are."""
     flat = compile_graph(e)
     if not flat.plan.reads:
-        return e
+        return flat
     nodes = list(flat.nodes)
     for key, i in flat.plan.reads:
         if key not in values:
             raise MissingKey(f"no deferred value for read_defer key {key!r}")
         nodes[i] = Node(nodes[i].buffers, nodes[i].op, ReadDeferState(values[key]))
-    return _like(e, FlatGraph(flat.plan, tuple(nodes), flat._base))
+    return FlatGraph(flat.plan, tuple(nodes))
 
 
 # ---------------------------------------------------------------------------

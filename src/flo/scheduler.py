@@ -30,7 +30,7 @@ from .core import (
     member,
 )
 from .graph import (
-    as_tree,
+    FlatGraph,
     budget_message,
     compile_graph,
     enabled_steps,
@@ -161,31 +161,17 @@ def recombine(total, piece):
 # the loop
 
 
+@dataclass(frozen=True)
 class LoopConfig:
-    """The loop's state between iterations: the graph and the pending output
-    collections, one per port. The graph may be given as a tree; the loop
-    keeps it compiled, and reading ``graph`` rebuilds the tree."""
+    """The loop's state between iterations: the compiled graph and the
+    pending output collections, one per port. A tree given as the graph
+    is compiled here."""
 
-    __slots__ = ("_graph", "pending")
+    graph: FlatGraph
+    pending: tuple
 
-    def __init__(self, graph, pending: tuple):
-        self._graph = graph
-        self.pending = pending
-
-    @property
-    def graph(self):
-        return as_tree(self._graph)
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopConfig):
-            return NotImplemented
-        return (self.graph, self.pending) == (other.graph, other.pending)
-
-    def __hash__(self):
-        return hash((self.graph, self.pending))
-
-    def __repr__(self):
-        return f"LoopConfig(graph={self.graph!r}, pending={self.pending!r})"
+    def __post_init__(self):
+        object.__setattr__(self, "graph", compile_graph(self.graph))
 
 
 @dataclass(frozen=True)
@@ -231,9 +217,8 @@ def loop_iteration(
     """One turn of the loop; returns the new config and the drained portions.
 
     A batch that leaves an input buffer outside its collection type raises
-    BatchShapeMismatch. The graph is compiled on the first turn and stays
-    compiled after it."""
-    graph = compile_graph(cfg._graph)
+    BatchShapeMismatch."""
+    graph = cfg.graph
     ins = inputs(graph)
     if len(batch.deltas) != len(ins):
         raise BatchShapeMismatch(f"{len(batch.deltas)} deltas for {len(ins)} inputs")

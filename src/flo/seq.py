@@ -100,7 +100,7 @@ class SeqLanguage(CollectionLanguage):
     def bottom(self, tag):
         return SeqValue(False, ())
 
-    def bottom_like(self, value):
+    def bottom_of(self, value):
         return SeqValue(False, ())
 
     supports_take = True
@@ -191,7 +191,7 @@ class NatLanguage(CollectionLanguage):
     def bottom(self, tag):
         return SingletonNat(None, False)
 
-    def bottom_like(self, value):
+    def bottom_of(self, value):
         return SingletonNat(None, False)
 
     supports_take = True

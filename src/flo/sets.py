@@ -102,7 +102,7 @@ class SetLanguage(CollectionLanguage):
     def bottom(self, tag):
         return SetValue(frozenset(), False)
 
-    def bottom_like(self, value):
+    def bottom_of(self, value):
         return SetValue(frozenset(), False)
 
     supports_take = True

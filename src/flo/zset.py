@@ -130,7 +130,7 @@ class ZSetLanguage(CollectionLanguage):
     def bottom(self, tag):
         return ZSetValue((), False)
 
-    def bottom_like(self, value):
+    def bottom_of(self, value):
         return ZSetValue((), False)
 
     supports_take = True

@@ -13,8 +13,16 @@ from __future__ import annotations
 
 from collections import deque
 
-from flo.core import EMPTY, InvalidChoice, concat
-from flo.graph import Node, Par, Seq, StepChoice, apply_outputs
+from flo.core import EMPTY, InvalidChoice, concat, record
+from flo.graph import Node, Par, Seq, apply_outputs
+
+
+@record
+class StepChoice:
+    """A step named by the path to its leaf, as the tree rules see it."""
+
+    path: tuple  # of "L"/"R", ending at a Node
+    index: int  # operator-internal choice
 
 
 def inputs(e) -> tuple:

@@ -13,6 +13,7 @@ from flo.core import B, BoundednessViolation, INT, Payload, StreamType, TERMINAT
 from flo.graph import (
     Par,
     explore_all,
+    inputs,
     node,
     out_types,
     run_to_stuck,
@@ -318,7 +319,7 @@ def test_criterion_6_bilinearity():
         li, ri = 0, 0
         while li < len(ld) or ri < len(rd):
             take_left = li < len(ld) and (ri >= len(rd) or rng.random() < 0.5)
-            left_buf, right_buf = g.buffers
+            left_buf, right_buf = inputs(g)
             from flo.core import concat
 
             if take_left:

@@ -326,3 +326,14 @@ def test_operator_determinism_reads_the_inputs_file(tmp_path, capsys):
     configs = json.loads(capsys.readouterr().out)["details"]["configs"]
     expected = check_determinism(node(REGISTRY["map"].op_eager), (value,)).details["configs"]
     assert configs == expected != seeded
+
+
+def test_check_and_replay_fail_on_a_subject_that_never_gets_stuck(tmp_path, capsys):
+    cx = tmp_path / "cx.json"
+    args = ["check", "--operator", "constant_rank", "--property", "determinism", "--exhaustive"]
+    assert main([*args, "--counterexample", str(cx)]) == 1
+    written = json.loads(cx.read_text())
+    assert written["cycle"] and "schedule" in written
+    capsys.readouterr()
+    assert main(["replay", str(cx)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Fail"

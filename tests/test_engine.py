@@ -1,6 +1,7 @@
 """The step engine: outcome reuse, the outcome memo, and what they must not change."""
 
 import tracemalloc
+from operator import is_
 from pathlib import Path
 
 import pytest
@@ -158,7 +159,7 @@ def test_a_node_is_evaluated_once_per_step_mode(op_calls):
     tree = map_scan()
     counts = []
     for _ in range(2):
-        assert enabled_steps(tree) == [StepChoice(("L",), 0)]
+        assert enabled_steps(tree) == [StepChoice(0, 0)]
         counts.append(op_calls["n"])
     step_first(compile_graph(tree))
     counts.append(op_calls["n"])
@@ -196,18 +197,17 @@ def test_stuck_subtrees_are_skipped(op_calls):
 # the memo is a cache, not state
 
 
-def rebuild(e):
+def rebuild(g):
     """A structurally equal copy made of new objects, so with no memo set."""
-    if isinstance(e, Node):
-        return Node(e.buffers, e.op, e.state)
-    return type(e)(rebuild(e.left), rebuild(e.right))
+    plan = compile_graph(g.tree()).plan
+    return FlatGraph(plan, tuple(Node(n.buffers, n.op, n.state) for n in g.nodes))
 
 
 def test_memo_leaves_equality_hash_and_repr_alone():
     g = set_inputs(map_filter_scan(), (seq(1, 2),))
     done, _, _ = run_to_stuck(g, (SeqValue(False, ()),))
     fresh = rebuild(done)
-    leaf, fresh_leaf = done.right.right, fresh.right.right
+    leaf, fresh_leaf = done.nodes[2], fresh.nodes[2]
     assert leaf._fast == [] and fresh_leaf._fast is None and fresh_leaf._full is None
     assert done == fresh and hash(done) == hash(fresh) and repr(done) == repr(fresh)
     assert len({done, fresh}) == 1
@@ -233,14 +233,14 @@ def test_set_inputs_keeps_untouched_subtrees():
     g = set_inputs(g, ins)
     assert set_inputs(g, ins) is g
     moved = set_inputs(g, (ins[0], seq(3)))
-    assert moved.left is g.left and moved.right is not g.right
+    assert all(map(is_, moved.nodes[:3], g.nodes[:3])) and moved.nodes[3] is not g.nodes[3]
 
 
 def test_step_choices_compare_without_their_outcome():
     g = node(seq_map("inc", INT, INT), (seq(1),))
     (listed,) = enabled_steps(g)
-    assert listed == StepChoice((), 0) and hash(listed) == hash(StepChoice((), 0))
-    assert repr(listed) == repr(StepChoice((), 0))
+    assert listed == StepChoice(0, 0) and hash(listed) == hash(StepChoice(0, 0))
+    assert repr(listed) == repr(StepChoice(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +273,12 @@ def dict_run_steps(e, outputs, picker=None, cap=None, log=None, iteration=None):
     for g, deltas, rules, choice in trajectory(g, picker, cap):
         outputs = apply_outputs(outputs, deltas)
         if log is not None:
-            entry = {"path": "".join(choice.path), "choice": choice.index, "rules": list(rules)}
+            entry = {"path": g.plan.where(choice.leaf)[0], "choice": choice.index, "rules": list(rules)}
             if iteration is not None:
                 entry["iter"] = iteration
             log.append(entry)
         steps += 1
-    return g if isinstance(e, FlatGraph) else g.tree(), outputs, steps
+    return g, outputs, steps
 
 
 def seq_batches():

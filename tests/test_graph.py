@@ -28,6 +28,7 @@ from flo.graph import (
     Par,
     Seq,
     apply_outputs,
+    compile_graph,
     enabled_steps,
     explore_all,
     graph_rank,
@@ -112,8 +113,8 @@ class TestInputs:
     def test_set_inputs_respects_structure(self):
         g = Seq(node(seq_map("inc", INT, INT), (seq(1),)), node(seq_map("inc", INT, INT), (seq(2),)))
         g2 = set_inputs(g, (seq(5),))
-        assert inputs(g2.left) == (seq(5),)
-        assert inputs(g2.right) == (seq(2),)  # right untouched
+        assert g2.nodes[0].buffers == (seq(5),)
+        assert g2.nodes[1].buffers == (seq(2),)  # right untouched
 
     def test_set_inputs_arity_checked(self):
         n = node(seq_map("inc", INT, INT))
@@ -132,12 +133,12 @@ class TestSteps:
         g2, deltas, rules = step_graph(g, choices[0])
         assert deltas == (EMPTY,)
         assert rules == ("sequence-left", "operator")
-        assert inputs(g2.right) == (SeqValue(False, (2,)),)
+        assert g2.nodes[1].buffers == (SeqValue(False, (2,)),)
 
     def test_sequence_left_preserves_right_state(self):
         g = Seq(node(seq_map("inc", INT, INT), (seq(1),)), node(scan(0, "add", INT, INT)))
         g2, _, _ = step_graph(g, enabled_steps(g)[0])
-        assert g2.right.state is g.right.state
+        assert g2.nodes[1].state is g.right.state
 
     def test_par_pads_other_side(self):
         g = Par(node(seq_map("inc", INT, INT), (seq(1),)), node(seq_map("inc", INT, INT)))
@@ -156,9 +157,9 @@ class TestRunToStuck:
         assert out == SeqValue(False, (3, 1))
 
     def test_already_stuck_unchanged(self):
-        g = node(seq_map("inc", INT, INT))
+        g = compile_graph(node(seq_map("inc", INT, INT)))
         g2, outs, steps = run_to_stuck(g, (SeqValue(False, ()),))
-        assert steps == 0 and g2 == g
+        assert steps == 0 and g2 is g
 
     def test_schedules_agree(self):
         import random
@@ -209,9 +210,10 @@ def test_invalid_choice_rejected():
 
     g = node(seq_map("inc", INT, INT), (seq(1),))
     with pytest.raises(InvalidChoice):
-        step_graph(g, StepChoice((), 5))
-    with pytest.raises(InvalidChoice):
-        step_graph(g, StepChoice(("L",), 0))
+        step_graph(g, StepChoice(0, 5))
+    for leaf in (1, -1):
+        with pytest.raises(InvalidChoice):
+            step_graph(g, StepChoice(leaf, 0))
 
 
 def test_budget_exhaustion_on_a_valid_pipeline_reports_the_cap():

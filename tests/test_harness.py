@@ -270,3 +270,41 @@ def test_unregistered_tag_has_no_delta_unless_empty():
         except ValueError:
             outcomes.add("raised")
     assert outcomes == {EMPTY, "raised"}
+
+
+# ---------------------------------------------------------------------------
+# a subject that never gets stuck
+
+
+def _replay_labels(g, outs, schedule):
+    """Follow a report's {"path", "choice"} schedule from (g, outs)."""
+    from flo.graph import StepChoice, apply_outputs, compile_graph, step_graph
+
+    g = compile_graph(g)
+    leaf = {g.plan.where(i)[0]: i for i in range(len(g.nodes))}
+    for step in schedule:
+        g, deltas, _ = step_graph(g, StepChoice(leaf[step["path"]], step["choice"]), exhaustive=True)
+        outs = apply_outputs(outs, deltas)
+    return g, outs
+
+
+def test_determinism_without_a_stuck_configuration_fails_with_a_lasso():
+    report = check_determinism(REGISTRY["constant_rank"].op_eager, (seq(1),))
+    assert not report.passed
+    assert report.details["stuck"] == 0
+    cx = report.counterexample
+    assert cx["schedule"] == [] and cx["cycle"] == [{"path": "", "choice": 0}]
+
+
+def test_lasso_schedule_reaches_a_configuration_its_cycle_returns_to():
+    from flo.core import bottom
+    from flo.graph import out_types, seq_chain
+
+    g = seq_chain(node(seq_map("inc")), node(REGISTRY["constant_rank"].op_eager))
+    report = check_determinism(g, (seq(1, 2),))
+    assert not report.passed
+    cx = report.counterexample
+    assert cx["schedule"] and cx["cycle"]
+    start = (set_inputs(g, (seq(1, 2),)), tuple(bottom(st.collection) for st in out_types(g)))
+    entry = _replay_labels(*start, cx["schedule"])
+    assert _replay_labels(*entry, cx["cycle"]) == entry

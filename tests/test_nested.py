@@ -101,10 +101,12 @@ class TestDeferPlumbing:
         t = set_tag(INT)
         rd = node(read_defer("k", t, sset((0,), fixed=True)))
         g2 = set_defer(rd, {"k": sset((0, 1), fixed=True)})
-        assert g2.state.pending == sset((0, 1), fixed=True)
+        assert g2.nodes[0].state.pending == sset((0, 1), fixed=True)
 
     def test_set_defer_leaves_other_nodes(self):
-        g = node(seq_map("inc", INT, INT))
+        from flo.graph import compile_graph
+
+        g = compile_graph(node(seq_map("inc", INT, INT)))
         assert set_defer(g, {}) is g
 
     def test_set_defer_missing_key(self):
@@ -204,7 +206,7 @@ class TestNestRank:
         ran = run_to_stuck(node(op, (nv(((SeqValue(True, (2, 1)),),), terminated=True),)), (nv(()),))[0]
         closed = run_to_stuck(node(op, (nv((), terminated=True),)), (nv(()),))[0]
         assert before.state.phase == BEFORE
-        assert ran.state.phase == closed.state.phase == DONE_PHASE
+        assert ran.nodes[0].state.phase == closed.nodes[0].state.phase == DONE_PHASE
         graphs = [compile_graph(n) for n in (before, ran, closed)]
         want = [graph_rank(g) for g in graphs]
         calls = []

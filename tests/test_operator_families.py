@@ -60,7 +60,7 @@ def test_sequence_consumers_take_through_the_language(monkeypatch, name):
     build, buf = CONSUMERS[name]
     hit = step_first(node(build(), (buf,)))
     assert hit is not None
-    assert hit[0].buffers == (original(SEQ, buf)[1],)
+    assert hit[0].nodes[0].buffers == (original(SEQ, buf)[1],)
     assert calls["n"] == 1
 
 

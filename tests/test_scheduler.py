@@ -53,7 +53,7 @@ def test_zero_budget_grows_inputs_only():
     picker = make_picker(RoundRobin())
     cfg2, drained = loop_iteration(cfg, batch(payload(7)), picker, 0, DrainNone())
     assert inputs(cfg2.graph) == (SeqValue(False, (7,)),)
-    assert cfg2.graph.state == g.state
+    assert cfg2.graph.nodes[0].state == g.state
     assert drained == (None,)
 
 
@@ -123,7 +123,7 @@ def test_scripted_schedule_stops_when_exhausted():
     cfg = LoopConfig(g, (SeqValue(False, ()),))
     from flo.graph import StepChoice
 
-    picker = make_picker(Scripted((StepChoice((), 0),)))
+    picker = make_picker(Scripted((StepChoice(0, 0),)))
     cfg2, _ = loop_iteration(cfg, batch(payload(1, 2)), picker, None, DrainNone())
     # one scripted step consumed exactly one element
     assert inputs(cfg2.graph) == (SeqValue(False, (2,)),)

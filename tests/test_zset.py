@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import batch_zset_join, run_op
 
 from flo.core import INT, Payload, TERMINATOR, concat
-from flo.graph import node, run_to_stuck, set_inputs
+from flo.graph import inputs, node, run_to_stuck, set_inputs
 from flo import zset as zset_module
 from flo.zset import JoinState, ZSetValue, add_cards, zset, zset_join, zset_map
 
@@ -88,7 +88,7 @@ def incremental_join_totals(deltas_left, deltas_right, seed=0):
     pending = [("L", d) for d in deltas_left] + [("R", d) for d in deltas_right]
     rng.shuffle(pending)
     for side, d in pending:
-        left, right = g.buffers
+        left, right = inputs(g)
         if side == "L":
             g = set_inputs(g, (concat(left, Payload(zset(d))), right))
         else:
