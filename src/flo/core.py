@@ -579,6 +579,14 @@ class OperatorDef:
     expose extra equivalent choices when ``exhaustive`` is set, for the
     schedule explorer to cover.
 
+    ``enabled_fn(buffers, state)``, when given, is how many outcomes
+    ``steps_fn(buffers, state, False)`` would return, worked out without
+    building them. A run counts a leaf's steps with it and evaluates only
+    the leaf it steps; a run that finds the count and the outcomes
+    disagree raises FloError. It must be pure as well, and exactly that
+    count on every buffers and state the operator can meet (the property
+    suite checks it on sampled cases and along their runs).
+
     Identity equality is intentional: graph rewrites replace buffers and
     state but never the operator object itself.
     """
@@ -593,6 +601,7 @@ class OperatorDef:
     defer_writes: tuple = ()
     params: dict = field(default_factory=dict)  # rebuild record; encode_graph makes it JSON
     rank_arity: int = 1
+    enabled_fn: Optional[Callable] = None
 
     def steps(self, buffers, state, exhaustive: bool = False) -> list:
         return self.steps_fn(buffers, state, exhaustive)

@@ -21,18 +21,26 @@ compare and print compiled graphs instead.) A step names its leaf by index
 out when a log, a report or an error prints them, and kept.
 
 A step replaces one node and concats each emitted delta straight into its
-destination. ``enabled_steps`` lists the steps, ``step_graph`` and
-``step_first`` apply one, ``trajectory`` is the one run loop, and
-``run_steps`` folds it into outputs and a log of interned ``StepEvent``
-records. ``_outcomes`` is the one place an operator is evaluated, and a
-node keeps what it returned, so an unchanged node is never evaluated
-twice.
+destination. ``enabled_steps`` lists the steps and ``step_graph`` applies
+one, for the explorer; ``step_first`` applies the first, for ``nest``'s
+one step at a time.
+``run_steps`` and ``trajectory`` run on one stepping kernel, ``_kernel``:
+it holds the run's nodes in a list, keeps each leaf's choices and
+re-lists only the leaves a step touched, resumes a picker-less scan at
+the leaf it last stepped, and builds a graph only when its caller needs
+one (``run_steps`` once per call, ``trajectory`` once per step).
+Evaluation is lazy: a leaf whose operator declares ``enabled_fn`` is
+counted without being evaluated, so a run evaluates only the leaf it
+steps. ``_outcomes`` evaluates an operator and keeps what it returned on
+the node, so an unchanged node is never evaluated twice; a rule chain is
+looked up only where it is logged or reported.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import is_
 from typing import Callable, Optional
 
@@ -44,6 +52,7 @@ from .core import (
     DeferKeyReusedOrUnused,
     DeferKeyUnbound,
     EMPTY,
+    FloError,
     GraphTypeError,
     InvalidChoice,
     OperatorDef,
@@ -248,7 +257,8 @@ class Plan:
     n_in: int  # number of exterior inputs
     blank: tuple  # one EMPTY per graph output
     direct: tuple  # per leaf: its output ports are the graph outputs, in order
-    firsts: tuple  # per leaf: StepChoice(leaf, 0)
+    touched: tuple  # per leaf: the leaves a step there may replace: itself, then those its wires feed
+    firsts: tuple  # per leaf: (StepChoice(leaf, 0),), its choices when it has one step
     reads: tuple  # (read_defer key, leaf) in tree order
     writes: tuple  # (write_defer key, leaf) in tree order
 
@@ -334,7 +344,8 @@ def _plan(e) -> tuple:
         n_in=len(ins),
         blank=(EMPTY,) * len(outs),
         direct=tuple(w == graph_outs for w in wires),
-        firsts=tuple(StepChoice(i, 0) for i in range(len(leaves))),
+        touched=tuple(tuple(dict.fromkeys([i] + [j for j, _b in w if j >= 0])) for i, w in enumerate(wires)),
+        firsts=tuple((StepChoice(i, 0),) for i in range(len(leaves))),
         reads=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_reads),
         writes=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_writes),
     )
@@ -487,30 +498,47 @@ def _outcomes(n: Node, exhaustive: bool) -> list:
     return out
 
 
-def _advance(g: FlatGraph, i: int, r):
-    """Replace leaf ``i`` by outcome ``r`` and concat each non-EMPTY delta
-    straight into its destination; returns (graph', output deltas)."""
-    plan, nodes = g.plan, list(g.nodes)
-    nodes[i] = Node(r.buffers, nodes[i].op, r.state)
+def _count(n: Node) -> int:
+    """How many fast-mode steps ``n`` has. An operator that declares
+    ``enabled_fn`` answers without being evaluated."""
+    enabled = n.op.enabled_fn
+    if enabled is None:
+        return len(_outcomes(n, False))
+    return enabled(n.buffers, n.state)
+
+
+def _advance(plan: Plan, nodes: list, i: int, r) -> tuple:
+    """Replace leaf ``i`` of ``nodes`` by outcome ``r``, in place, and concat
+    each non-EMPTY delta straight into its destination; returns the
+    (port, delta) pairs the step wrote to graph outputs."""
+    n = nodes[i]
+    nodes[i] = Node(r.buffers, n.op, r.state)
+    written = ()
+    for d, (j, b) in zip(r.deltas, plan.wires[i]):
+        if d is EMPTY:
+            continue
+        if j < 0:
+            written += ((b, d),)
+            continue
+        dest = nodes[j]
+        buf = dest.buffers[b]
+        fed = concat(buf, d)
+        if fed is not buf:  # a fixed buffer absorbs the delta and stays as it is
+            nodes[j] = Node(dest.buffers[:b] + (fed,) + dest.buffers[b + 1:], dest.op, dest.state)
+    return written
+
+
+def _deltas(plan: Plan, i: int, r, written: tuple) -> tuple:
+    """One delta per graph output after leaf ``i`` took outcome ``r`` and
+    wrote ``written``: the plan's one ``blank`` when it wrote none."""
+    if not written:
+        return plan.blank
     if plan.direct[i]:
-        deltas = r.deltas
-    else:
-        outs = None
-        for d, (j, b) in zip(r.deltas, plan.wires[i]):
-            if d is EMPTY:
-                continue
-            if j < 0:
-                if outs is None:
-                    outs = list(plan.blank)
-                outs[b] = d
-                continue
-            dest = nodes[j]
-            buf = dest.buffers[b]
-            fed = concat(buf, d)
-            if fed is not buf:  # a fixed buffer absorbs the delta and stays as it is
-                nodes[j] = Node(dest.buffers[:b] + (fed,) + dest.buffers[b + 1:], dest.op, dest.state)
-        deltas = plan.blank if outs is None else tuple(outs)
-    return FlatGraph(plan, tuple(nodes)), deltas
+        return r.deltas
+    outs = list(plan.blank)
+    for port, d in written:
+        outs[port] = d
+    return tuple(outs)
 
 
 def enabled_steps(e, exhaustive: bool = False) -> list:
@@ -520,7 +548,7 @@ def enabled_steps(e, exhaustive: bool = False) -> list:
     for i, n in enumerate(g.nodes):
         rs = _outcomes(n, exhaustive)
         if rs:
-            out.append(plan.firsts[i])
+            out += plan.firsts[i]
             if len(rs) > 1:
                 out += [StepChoice(i, k) for k in range(1, len(rs))]
     return out
@@ -535,8 +563,9 @@ def step_graph(e, choice: StepChoice, exhaustive: bool = False):
     rs = _outcomes(g.nodes[i], exhaustive)
     if choice.index >= len(rs):
         raise InvalidChoice(f"{g.nodes[i].op.name}: choice {choice.index} of {len(rs)}")
-    g2, deltas = _advance(g, i, rs[choice.index])
-    return g2, deltas, g.plan.where(i)[1]
+    nodes, r = list(g.nodes), rs[choice.index]
+    written = _advance(g.plan, nodes, i, r)
+    return FlatGraph(g.plan, tuple(nodes)), _deltas(g.plan, i, r, written), g.plan.where(i)[1]
 
 
 def step_first(e):
@@ -549,8 +578,9 @@ def step_first(e):
     for i, n in enumerate(g.nodes):
         rs = _outcomes(n, False)
         if rs:
-            g2, deltas = _advance(g, i, rs[0])
-            return g2, deltas, g.plan.where(i)[1], g.plan.firsts[i]
+            nodes, plan, r = list(g.nodes), g.plan, rs[0]
+            written = _advance(plan, nodes, i, r)
+            return FlatGraph(plan, tuple(nodes)), _deltas(plan, i, r, written), plan.where(i)[1], plan.firsts[i][0]
     return None
 
 
@@ -558,29 +588,85 @@ def apply_outputs(outputs: tuple, deltas: tuple) -> tuple:
     return tuple(map(concat, outputs, deltas))
 
 
+def _listed(firsts: tuple, i: int, c: int) -> tuple:
+    """The choices of leaf ``i`` when it has ``c`` steps."""
+    if c < 2:
+        return firsts[i] if c else ()
+    return firsts[i] + tuple(StepChoice(i, k) for k in range(1, c))
+
+
+def _kernel(g: FlatGraph, picker: Optional[Callable], cap: Optional[int]):
+    """The stepping kernel under ``run_steps`` and ``trajectory``. Yields
+    (nodes, leaf, choice index, outcome, written) per step: ``nodes`` is
+    the run's own list of nodes, replaced in place, and ``written`` the
+    (port, delta) pairs the step wrote to graph outputs. Leaves are
+    counted with ``_count``, and only the stepped leaf is evaluated.
+
+    Without a picker it takes the first enabled step in tree order, as
+    ``step_first`` does. A step replaces only its leaf and the leaves its
+    wires feed, which come later in tree order, so every leaf before the
+    stepped one is still stuck and the next scan resumes there. With a
+    picker it keeps each leaf's choices and re-lists only the leaves the
+    step touched; the picker sees them flattened in tree order, as
+    ``enabled_steps`` lists them, in a list the kernel keeps while no
+    leaf's choices change, so a picker must not change it.
+    """
+    plan, nodes = g.plan, list(g.nodes)
+    touched, firsts = plan.touched, plan.firsts
+    n, steps, i = len(nodes), 0, 0  # without a picker, every leaf before i is stuck
+    lists = None if picker is None else [_listed(firsts, j, _count(nd)) for j, nd in enumerate(nodes)]
+    choices = None  # the flattened lists, kept while no leaf's choices change
+    while cap is None or steps < cap:
+        if lists is None:
+            while i < n:
+                c = _count(nodes[i])
+                if c:
+                    break
+                i += 1
+            else:
+                return
+            k = 0
+        else:
+            if choices is None:
+                choices = list(chain.from_iterable(lists))
+            choice = picker(choices, steps) if choices else None
+            if choice is None:
+                return
+            i, k = choice.leaf, choice.index
+            if not 0 <= i < n:
+                raise InvalidChoice(f"no leaf {i} in a graph of {n} leaves")
+            c = len(lists[i])
+            if not 0 <= k < c:
+                raise InvalidChoice(f"{nodes[i].op.name}: choice {k} of {c}")
+        rs = _outcomes(nodes[i], False)
+        if len(rs) != c:
+            raise FloError(f"{nodes[i].op.name}: enabled_fn counts {c} steps but steps_fn returned {len(rs)}")
+        r = rs[k]
+        written = _advance(plan, nodes, i, r)
+        if lists is not None:
+            for j in touched[i]:
+                listed = _listed(firsts, j, _count(nodes[j]))
+                if listed is not lists[j]:
+                    lists[j], choices = listed, None
+        yield nodes, i, k, r, written
+        steps += 1
+
+
 def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
     """The run loop: yield (graph', deltas, rules, choice) for each step.
 
     ``picker(choices, step_index)`` selects among the enabled steps, or
-    returns None to stop; without a picker the first enabled step in tree
-    order is taken. The loop ends at a stuck graph or after ``cap`` steps,
-    without looking for a further step.
+    returns None to stop, and leaves the list as it is; without a picker
+    the first enabled step in tree order is taken. The loop ends at a stuck
+    graph or after ``cap`` steps, without looking for a further step. Each
+    step builds its graph, for callers that look at every configuration;
+    ``run_steps`` builds one.
     """
-    e, steps = compile_graph(e), 0
-    while cap is None or steps < cap:
-        if picker is None:
-            hit = step_first(e)
-            if hit is None:
-                return
-        else:
-            choices = enabled_steps(e)
-            choice = picker(choices, steps) if choices else None
-            if choice is None:
-                return
-            hit = step_graph(e, choice) + (choice,)
-        e = hit[0]
-        yield hit
-        steps += 1
+    g = compile_graph(e)
+    plan = g.plan
+    for nodes, i, k, r, written in _kernel(g, picker, cap):
+        choice = plan.firsts[i][0] if k == 0 else StepChoice(i, k)
+        yield FlatGraph(plan, tuple(nodes)), _deltas(plan, i, r, written), plan.where(i)[1], choice
 
 
 @record
@@ -602,21 +688,28 @@ class StepEvent:
 
 
 def run_steps(e, outputs: tuple, picker=None, cap=None, log=None, iteration=None):
-    """Follow ``trajectory``, folding emissions into the outputs and logging
-    every step as a ``StepEvent``; returns (graph, outputs, steps taken)."""
+    """Run the stepping kernel, folding each step into the outputs it wrote
+    and logging every step as a ``StepEvent``; returns (graph, outputs,
+    steps taken). The graph is built once, at the end: the one given when
+    no step was taken."""
     g, steps = compile_graph(e), 0
-    blank = g.plan.blank  # what _advance returns when no delta reaches an output
-    events: dict = {}  # StepChoice -> its event; one plan runs here, so the choice fixes the rules
-    for g, deltas, rules, choice in trajectory(g, picker, cap):
-        if deltas is not blank:
-            outputs = apply_outputs(outputs, deltas)
+    plan, nodes, outs = g.plan, None, None
+    events: dict = {}  # (leaf, choice) -> its event; one plan runs here, so the choice fixes the rules
+    for nodes, i, k, _r, written in _kernel(g, picker, cap):
+        for port, d in written:
+            if outs is None:
+                outs = list(outputs)
+            outs[port] = concat(outs[port], d)
         if log is not None:
-            ev = events.get(choice)
+            ev = events.get((i, k))
             if ev is None:
-                ev = events[choice] = StepEvent(iteration, g.plan.where(choice.leaf)[0], choice.index, rules)
+                label, rules = plan.where(i)
+                ev = events[i, k] = StepEvent(iteration, label, k, rules)
             log.append(ev)
         steps += 1
-    return g, outputs, steps
+    if nodes is not None:
+        g = FlatGraph(plan, tuple(nodes))
+    return g, (outputs if outs is None else tuple(outs)), steps
 
 
 def run_to_stuck(

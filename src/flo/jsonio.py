@@ -204,11 +204,15 @@ def encode_graph(e) -> dict:
 
 
 def decode_graph(j):
-    """The tree a JSON graph stands for, built with an explicit stack."""
+    """The tree a JSON graph stands for, built with an explicit stack.
+
+    Operators are pure, so the nodes of one identical ``{"name", "params"}``
+    spec share one operator object, built once."""
     from .graph import node, par, seq_chain
     from .opcatalog import build_operator
 
     built: list = []  # finished subtrees, left to right
+    ops: dict = {}  # canonical JSON of a spec's name and params -> its operator
     stack = [(j, False)]  # (JSON graph, its parts built)
     while stack:
         j, expanded = stack.pop()
@@ -217,7 +221,10 @@ def decode_graph(j):
             raise ParseError(f"bad graph {j!r}")
         if key == "op":
             spec = j["op"]
-            op = build_operator(spec["name"], spec.get("params"))
+            ident = json.dumps([spec["name"], spec.get("params")], sort_keys=True)
+            op = ops.get(ident)
+            if op is None:
+                op = ops[ident] = build_operator(spec["name"], spec.get("params"))
             buffers = None
             if spec.get("buffers"):
                 buffers = tuple(decode_value(v, st.collection) for v, st in zip(spec["buffers"], op.inputs))

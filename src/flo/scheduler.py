@@ -65,7 +65,8 @@ class Scripted:
 
 
 # Pickers are called as ``picker(choices, step_index)``, the protocol of
-# ``graph.trajectory``; they keep their own position across iterations.
+# ``graph.trajectory``; they keep their own position across iterations and
+# leave the list they are given as it is.
 
 
 class _RoundRobinPicker:

@@ -10,7 +10,9 @@ representation is a one-class decision.
 
 Operators come in skeletons. ``_per_item`` is the one shape of ``map``,
 ``filter``, ``scan``, ``fold`` and ``lvar.fold_lattice``: a step per
-consumed item, then one closing step once the input terminates.
+consumed item, then one closing step once the input terminates. It also
+declares its step count (``enabled_fn``), so a run counts these leaves
+without evaluating them.
 ``_pass_through`` is ``tee`` and ``forward``, which work over any
 collection language with content consumption (sequences, sets, z-sets,
 nat singletons), as does ``last``. ``window`` keeps its own step.
@@ -282,6 +284,10 @@ def _per_item(name, elem_in, out_tag, bound, initial, on_item, on_end, params, r
             return [StepResult(buffers, state2, (delta,), end_rule)]
         return []
 
+    def enabled(buffers, state):
+        (inp,) = buffers
+        return 1 if SEQ.content_size(inp) or (inp.terminated and not state.done) else 0
+
     return OperatorDef(
         name=name,
         inputs=(StreamType(seq_tag(elem_in), bound),),
@@ -290,6 +296,7 @@ def _per_item(name, elem_in, out_tag, bound, initial, on_item, on_end, params, r
         steps_fn=steps,
         rank_fn=_content_rank(SEQ),
         params=params,
+        enabled_fn=enabled,
     )
 
 

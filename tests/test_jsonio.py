@@ -7,7 +7,7 @@ import pytest
 from flo import programs
 from flo.core import B, INT, StreamType, U
 from flo.gen import gen_delta, gen_value
-from flo.graph import inputs, typecheck
+from flo.graph import compile_graph, inputs, typecheck
 from flo.jsonio import (
     decode_delta,
     decode_graph,
@@ -120,3 +120,15 @@ def test_nest_and_read_defer_round_trip():
     (got,) = run_trace(again, trace).totals
     assert got == want
     assert [t[0].elems for t in reversed(want.tuples)] == [{0, 1}, {0, 1, 2, 3}]
+
+
+def test_identical_operator_specs_share_one_operator():
+    spec = {"op": {"name": "map", "params": {"fn": "inc", "elem": "int", "elem_out": "int", "bound": "U"}}}
+    other = {"op": {"name": "map", "params": {"fn": "inc", "elem": "int", "elem_out": "int", "bound": "B"}}}
+    g = compile_graph(decode_graph({"seq": [spec] * 2_000}))
+    assert len({id(n.op) for n in g.nodes}) == 1
+    # Buffers stay per node, and a spec with other params gets its own operator.
+    buffered = {"op": dict(spec["op"], buffers=[{"terminated": False, "items": [1]}])}
+    g = compile_graph(decode_graph({"par": [spec, buffered, other]}))
+    assert g.nodes[0].op is g.nodes[1].op is not g.nodes[2].op
+    assert [n.buffers[0].items for n in g.nodes] == [(), (1,), ()]

@@ -3,15 +3,19 @@
 The sequence operators consume their input only through
 ``SeqLanguage.take_oldest``, and each skeleton (per-item, pass-through,
 two-input drain) keeps every outcome, rule name and rank of the operators
-built on it.
+built on it. An operator's ``enabled_fn`` counts exactly the outcomes its
+``steps_fn`` returns in fast mode.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from flo.core import EMPTY, FINISHED, INT, RUNNING, TERMINATOR, Payload, Rank, StepResult
-from flo.graph import node, step_first
+from flo.core import EMPTY, FINISHED, INT, RUNNING, TERMINATOR, FloError, Payload, Rank, StepResult, concat
+from flo.graph import Node, compile_graph, node, run_steps, step_first, trajectory
 from flo.lvar import LVarValue, fold_lattice
-from flo.opcatalog import coin
+from flo.opcatalog import REGISTRY, coin, sample_cases
+from flo.scheduler import RoundRobin, make_picker
 from flo.seq import (
     SEQ,
     AccState,
@@ -270,3 +274,65 @@ def test_stuck_operators_have_no_outcomes():
     assert tee(seq_tag(INT)).steps(DONE_SEQ, FINISHED) == []
     assert set_union(INT).steps((sset(()), sset((), fixed=True)), RUNNING) == []
     assert edge_join(INT).steps(DONE_SETS, EdgeJoinState(frozenset(), frozenset(), True)) == []
+
+
+# ---------------------------------------------------------------------------
+# enabled_fn: a step count that must equal the outcomes it stands for
+
+
+def counted_ops():
+    """(registry name, operator) for every registered operator that declares
+    ``enabled_fn``, each operator once."""
+    ops = {}
+    for name, entry in sorted(REGISTRY.items()):
+        for op in (entry.op_eager, entry.op_progress):
+            if op.enabled_fn is not None:
+                ops[id(op)] = (name, op)
+    return list(ops.values())
+
+
+def test_the_per_item_operators_declare_their_count():
+    assert sorted({name for name, _op in counted_ops()}) == [
+        "filter",
+        "fold",
+        "fold_lattice",
+        "fold_unbounded",
+        "map",
+        "scan",
+    ]
+
+
+def run_configs(g):
+    """``g`` and every configuration along its run to stuck, without a picker."""
+    configs = [compile_graph(g)]
+    for g2, _deltas, _rules, _choice in trajectory(g, cap=10_000):
+        configs.append(g2)
+    return configs
+
+
+@pytest.mark.parametrize("name,op", counted_ops(), ids=[name for name, _op in counted_ops()])
+def test_enabled_fn_counts_the_fast_outcomes(name, op):
+    checked = 0
+    for kind in ("eager", "progress", "rank"):
+        for case in sample_cases(op.inputs, kind, 150, seed=11):
+            configs = run_configs(node(op, case.buffers))
+            if case.delta:
+                # Feed the case's delta at the stuck state and run on from there.
+                stuck = configs[-1].nodes[0]
+                fed = tuple(concat(b, d) for b, d in zip(stuck.buffers, case.delta))
+                configs += run_configs(Node(fed, op, stuck.state))
+            for g in configs:
+                (n,) = g.nodes
+                assert op.enabled_fn(n.buffers, n.state) == len(op.steps_fn(n.buffers, n.state, False)), (kind, n)
+                checked += 1
+    assert checked > 3 * 150
+
+
+@pytest.mark.parametrize("sched", [None, RoundRobin()], ids=["first", "roundrobin"])
+@pytest.mark.parametrize("says", [1, 2])
+def test_a_wrong_enabled_fn_stops_the_run(sched, says):
+    # Right on the first item when it says 1, then wrong once the buffer is empty.
+    op = replace(seq_map("inc", INT, INT), enabled_fn=lambda buffers, state: says)
+    picker = None if sched is None else make_picker(sched)
+    with pytest.raises(FloError, match="map: enabled_fn counts"):
+        run_steps(node(op, (seq(1),)), (seq(),), picker, cap=5)
