@@ -582,10 +582,13 @@ class OperatorDef:
     ``enabled_fn(buffers, state)``, when given, is how many outcomes
     ``steps_fn(buffers, state, False)`` would return, worked out without
     building them. A run counts a leaf's steps with it and evaluates only
-    the leaf it steps; a run that finds the count and the outcomes
-    disagree raises FloError. It must be pure as well, and exactly that
-    count on every buffers and state the operator can meet (the property
-    suite checks it on sampled cases and along their runs).
+    the leaf it steps. The run compares the count with the outcomes only
+    on that leaf: a count that is too high raises FloError there, but a
+    count that is too low (0 on a leaf with work) leaves the leaf
+    unstepped, and the run ends as if stuck, with no error. So it must
+    be pure as well, and exactly that count on every buffers and state
+    the operator can meet; the property suite checks it on sampled cases
+    and along their runs, and is what catches a count that is too low.
 
     Identity equality is intentional: graph rewrites replace buffers and
     state but never the operator object itself.

@@ -22,18 +22,23 @@ out when a log, a report or an error prints them, and kept.
 
 A step replaces one node and concats each emitted delta straight into its
 destination. ``enabled_steps`` lists the steps and ``step_graph`` applies
-one, for the explorer; ``step_first`` applies the first, for ``nest``'s
-one step at a time.
-``run_steps`` and ``trajectory`` run on one stepping kernel, ``_kernel``:
-it holds the run's nodes in a list, keeps each leaf's choices and
+one, for the explorer. Every run goes through one stepping kernel,
+``_kernel``: ``run_steps``, ``trajectory``, and ``step_first``, the
+kernel's first step, for ``nest``'s one step at a time. The
+kernel holds the run's nodes in a list, keeps each leaf's choices and
 re-lists only the leaves a step touched, resumes a picker-less scan at
 the leaf it last stepped, and builds a graph only when its caller needs
 one (``run_steps`` once per call, ``trajectory`` once per step).
 Evaluation is lazy: a leaf whose operator declares ``enabled_fn`` is
 counted without being evaluated, so a run evaluates only the leaf it
-steps. ``_outcomes`` evaluates an operator and keeps what it returned on
-the node, so an unchanged node is never evaluated twice; a rule chain is
-looked up only where it is logged or reported.
+steps. The kernel checks a count against the outcomes only there: a
+count that is too high raises FloError when its leaf is stepped, but one
+that is too low (0 on a leaf with work) leaves the leaf unstepped and
+ends the run as if stuck; the property suite's ``enabled_fn`` test is
+what catches that. ``_outcomes`` evaluates an operator and keeps what it
+returned on the node, so an unchanged node is never evaluated twice.
+``run_steps`` looks a rule chain up only when it logs a step;
+``step_graph``, ``step_first`` and ``trajectory`` return one per step.
 """
 
 from __future__ import annotations
@@ -499,8 +504,13 @@ def _outcomes(n: Node, exhaustive: bool) -> list:
 
 
 def _count(n: Node) -> int:
-    """How many fast-mode steps ``n`` has. An operator that declares
-    ``enabled_fn`` answers without being evaluated."""
+    """How many fast-mode steps ``n`` has: the outcomes the node keeps,
+    when it keeps them (``nest`` scans the same stuck inner leaves on
+    every inner step), else ``enabled_fn``'s answer, without evaluating,
+    for an operator that declares one."""
+    out = n._fast
+    if out is not None:
+        return len(out)
     enabled = n.op.enabled_fn
     if enabled is None:
         return len(_outcomes(n, False))
@@ -541,16 +551,19 @@ def _deltas(plan: Plan, i: int, r, written: tuple) -> tuple:
     return tuple(outs)
 
 
+def _listed(firsts: tuple, i: int, c: int) -> tuple:
+    """The choices of leaf ``i`` when it has ``c`` steps."""
+    if c < 2:
+        return firsts[i] if c else ()
+    return firsts[i] + tuple(StepChoice(i, k) for k in range(1, c))
+
+
 def enabled_steps(e, exhaustive: bool = False) -> list:
     """Every applicable step, identified by leaf and choice index."""
     g = compile_graph(e)
     plan, out = g.plan, []
     for i, n in enumerate(g.nodes):
-        rs = _outcomes(n, exhaustive)
-        if rs:
-            out += plan.firsts[i]
-            if len(rs) > 1:
-                out += [StepChoice(i, k) for k in range(1, len(rs))]
+        out += _listed(plan.firsts, i, len(_outcomes(n, exhaustive)))
     return out
 
 
@@ -571,16 +584,17 @@ def step_graph(e, choice: StepChoice, exhaustive: bool = False):
 def step_first(e):
     """Fast path: apply the first enabled step in tree order, if any.
 
-    Returns (graph', deltas, rules, choice) or None when stuck. Sound for
-    any confluent graph; the explorer covers the remaining schedules.
+    Returns (graph', deltas, rules, choice) or None when stuck: the
+    kernel's first step, as ``trajectory(e, cap=1)`` yields it. It drives
+    the kernel itself, not through ``trajectory``, because ``nest`` calls
+    it once per inner step and a second generator per call shows on
+    nested workloads. Sound for any confluent graph; the explorer covers
+    the remaining schedules.
     """
     g = compile_graph(e)
-    for i, n in enumerate(g.nodes):
-        rs = _outcomes(n, False)
-        if rs:
-            nodes, plan, r = list(g.nodes), g.plan, rs[0]
-            written = _advance(plan, nodes, i, r)
-            return FlatGraph(plan, tuple(nodes)), _deltas(plan, i, r, written), plan.where(i)[1], plan.firsts[i][0]
+    for nodes, i, _k, r, written in _kernel(g, None, 1):
+        plan = g.plan
+        return FlatGraph(plan, tuple(nodes)), _deltas(plan, i, r, written), plan.where(i)[1], plan.firsts[i][0]
     return None
 
 
@@ -588,28 +602,22 @@ def apply_outputs(outputs: tuple, deltas: tuple) -> tuple:
     return tuple(map(concat, outputs, deltas))
 
 
-def _listed(firsts: tuple, i: int, c: int) -> tuple:
-    """The choices of leaf ``i`` when it has ``c`` steps."""
-    if c < 2:
-        return firsts[i] if c else ()
-    return firsts[i] + tuple(StepChoice(i, k) for k in range(1, c))
-
-
 def _kernel(g: FlatGraph, picker: Optional[Callable], cap: Optional[int]):
-    """The stepping kernel under ``run_steps`` and ``trajectory``. Yields
-    (nodes, leaf, choice index, outcome, written) per step: ``nodes`` is
-    the run's own list of nodes, replaced in place, and ``written`` the
-    (port, delta) pairs the step wrote to graph outputs. Leaves are
-    counted with ``_count``, and only the stepped leaf is evaluated.
+    """The stepping kernel under ``run_steps``, ``trajectory`` and
+    ``step_first``. Yields (nodes, leaf, choice index, outcome, written)
+    per step: ``nodes`` is the run's own list of nodes, replaced in place,
+    and ``written`` the (port, delta) pairs the step wrote to graph
+    outputs. Leaves are counted with ``_count``, and only the stepped
+    leaf is evaluated.
 
-    Without a picker it takes the first enabled step in tree order, as
-    ``step_first`` does. A step replaces only its leaf and the leaves its
-    wires feed, which come later in tree order, so every leaf before the
-    stepped one is still stuck and the next scan resumes there. With a
-    picker it keeps each leaf's choices and re-lists only the leaves the
-    step touched; the picker sees them flattened in tree order, as
-    ``enabled_steps`` lists them, in a list the kernel keeps while no
-    leaf's choices change, so a picker must not change it.
+    Without a picker it takes the first enabled step in tree order. A
+    step replaces only its leaf and the leaves its wires feed, which come
+    later in tree order, so every leaf before the stepped one is still
+    stuck and the next scan resumes there. With a picker it keeps each
+    leaf's choices and re-lists only the leaves the step touched; the
+    picker sees them flattened in tree order, as ``enabled_steps`` lists
+    them, in a list the kernel keeps while no leaf's choices change, so a
+    picker must not change it.
     """
     plan, nodes = g.plan, list(g.nodes)
     touched, firsts = plan.touched, plan.firsts

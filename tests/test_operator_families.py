@@ -336,3 +336,14 @@ def test_a_wrong_enabled_fn_stops_the_run(sched, says):
     picker = None if sched is None else make_picker(sched)
     with pytest.raises(FloError, match="map: enabled_fn counts"):
         run_steps(node(op, (seq(1),)), (seq(),), picker, cap=5)
+
+
+@pytest.mark.parametrize("sched", [None, RoundRobin()], ids=["first", "roundrobin"])
+def test_a_count_that_is_too_low_ends_the_run_without_an_error(sched):
+    # The run compares a count with the outcomes only on the leaf it steps,
+    # so a leaf counted as stuck is never evaluated and the run just ends.
+    # Only test_enabled_fn_counts_the_fast_outcomes catches such a count.
+    op = replace(seq_map("inc", INT, INT), enabled_fn=lambda buffers, state: 0)
+    picker = None if sched is None else make_picker(sched)
+    g, outs, steps = run_steps(node(op, (seq(1),)), (seq(),), picker, cap=5)
+    assert steps == 0 and outs == (seq(),) and g.nodes[0].buffers == (seq(1),)
