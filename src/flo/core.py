@@ -107,10 +107,6 @@ class RankViolation(FloError):
     """An operator step did not strictly decrease its rank."""
 
 
-class TypeViolation(FloError):
-    """An operator step broke collection-type membership."""
-
-
 class InvalidChoice(FloError):
     """A step choice that is not currently enabled."""
 
@@ -614,33 +610,6 @@ class OperatorDef:
 
     def __repr__(self):
         return f"<op {self.name}>"
-
-
-def step_operator(
-    op: OperatorDef,
-    inputs: tuple,
-    state,
-    choice: int = 0,
-) -> Optional[StepResult]:
-    """Take one operator small step, or None when stuck.
-
-    Checks the two per-step operator laws after the fact: strict rank
-    descent and preservation of input membership.
-    """
-    outcomes = op.steps(inputs, state)
-    if not outcomes:
-        return None
-    if choice >= len(outcomes):
-        raise InvalidChoice(f"{op.name}: choice {choice} of {len(outcomes)}")
-    result = outcomes[choice]
-    before = op.rank(inputs, state)
-    after = op.rank(result.buffers, result.state)
-    if not after < before:
-        raise RankViolation(f"{op.name}/{result.rule}: rank {after} not below {before}")
-    for buf, st in zip(result.buffers, op.inputs):
-        if not member(buf, st.collection):
-            raise TypeViolation(f"{op.name}/{result.rule}: buffer left {st}")
-    return result
 
 
 def sort_key(x):

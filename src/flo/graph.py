@@ -12,40 +12,38 @@ into the one graph value, a ``FlatGraph``: a wiring ``Plan`` and one
 ``Node`` per leaf in tree order. Every function here compiles a tree it
 is given and returns compiled graphs. ``_plan``, the one walk of a tree,
 uses an explicit stack and memory linear in the tree; stepping, hashing,
-comparing and printing a compiled graph recurse nowhere, and neither does
-the codec, so a graph may be far deeper than the recursion limit. (The
-builder trees still recurse in their own ``==``, ``hash`` and ``repr``;
-compare and print compiled graphs instead.) A step names its leaf by index
-(``StepChoice``); the leaf's path label, such as "LR", and its rule chain
-(sequence-left, sequence-right, par-left, par-right, operator) are worked
-out when a log, a report or an error prints them, and kept.
+comparing and printing a tree or a compiled graph recurse nowhere, and
+neither does the codec, so a graph may be far deeper than the recursion
+limit. A step names its leaf by index (``StepChoice``); the leaf's path
+label, such as "LR", and its rule chain (sequence-left, sequence-right,
+par-left, par-right, operator) are worked out only when a log, a report
+or an error prints them, and kept.
 
 A step replaces one node and concats each emitted delta straight into its
 destination. ``enabled_steps`` lists the steps and ``step_graph`` applies
 one, for the explorer. Every run goes through one stepping kernel,
 ``_kernel``: ``run_steps``, ``trajectory``, and ``step_first``, the
-kernel's first step, for ``nest``'s one step at a time. The
-kernel holds the run's nodes in a list, keeps each leaf's choices and
-re-lists only the leaves a step touched, resumes a picker-less scan at
-the leaf it last stepped, and builds a graph only when its caller needs
-one (``run_steps`` once per call, ``trajectory`` once per step).
-Evaluation is lazy: a leaf whose operator declares ``enabled_fn`` is
-counted without being evaluated, so a run evaluates only the leaf it
-steps. The kernel checks a count against the outcomes only there: a
-count that is too high raises FloError when its leaf is stepped, but one
-that is too low (0 on a leaf with work) leaves the leaf unstepped and
-ends the run as if stuck; the property suite's ``enabled_fn`` test is
-what catches that. ``_outcomes`` evaluates an operator and keeps what it
-returned on the node, so an unchanged node is never evaluated twice.
-``run_steps`` looks a rule chain up only when it logs a step;
-``step_graph``, ``step_first`` and ``trajectory`` return one per step.
+kernel's first step, for ``nest``'s one step at a time. A scheduler only
+decides which of the ``n`` enabled steps runs next, so a picker is
+``picker(n) -> index or None``, and the kernel keeps one step count per
+leaf, re-counting only the leaves a step touched. It holds the run's
+nodes in a list, resumes a picker-less scan at the leaf it last stepped,
+and builds a graph only when its caller needs one (``run_steps`` once
+per call, ``trajectory`` once per step). Evaluation is lazy: a leaf
+whose operator declares ``enabled_fn`` is counted without being
+evaluated, so a run evaluates only the leaf it steps. The kernel checks
+a count against the outcomes only there: a count that is too high raises
+FloError when its leaf is stepped, but one that is too low (0 on a leaf
+with work) leaves the leaf unstepped and ends the run as if stuck; the
+property suite's ``enabled_fn`` test is what catches that. ``_outcomes``
+evaluates an operator and keeps what it returned on the node, so an
+unchanged node is never evaluated twice.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from operator import is_
 from typing import Callable, Optional
 
@@ -90,16 +88,74 @@ class Node:
     _full: Optional[list] = memo()
 
 
+def _walk(tree) -> tuple:
+    """(shape, leaves) of the ``Seq`` or ``Par`` ``tree``, with an explicit
+    stack: its kinds in pre-order with None at each leaf, and its leaves
+    in order. Every composite has two children, so the two fix the tree."""
+    shape, leaves, stack = [], [], [tree]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if g is tree or kind is Seq or kind is Par:
+            shape.append(kind)
+            stack += (g.right, g.left)
+        else:
+            shape.append(None)
+            leaves.append(g)
+    return shape, leaves
+
+
+def _tree_eq(self, other):
+    if type(other) is not type(self):
+        return NotImplemented
+    return self is other or _walk(self) == _walk(other)
+
+
+def _tree_hash(self):
+    return hash(tuple(_walk(self)[1]))
+
+
+_CLOSE, _RIGHT = object(), object()  # the text after and between a composite's children
+
+
+def _tree_repr(tree) -> str:
+    """The dataclass repr of the ``Seq`` or ``Par`` ``tree``,
+    ``Seq(left=..., right=...)`` around its leaves' own reprs, written
+    with an explicit stack."""
+    pieces, stack = [], [tree]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if g is _CLOSE:
+            pieces.append(")")
+        elif g is _RIGHT:
+            pieces.append(", right=")
+        elif g is tree or kind is Seq or kind is Par:
+            pieces.append(f"{kind.__name__}(left=")
+            stack += (_CLOSE, g.right, _RIGHT, g.left)
+        else:
+            pieces.append(repr(g))
+    return "".join(pieces)
+
+
+# Builder trees compare, hash and print with explicit stacks and without
+# compiling, so an ill-typed tree prints too. The walks take their root as
+# a composite by identity, not by class, so they also serve a copy of
+# ``Seq`` or ``Par`` declared elsewhere with these methods.
+
+
 @record
 class Seq:
     left: object
     right: object
+    __eq__, __hash__, __repr__ = _tree_eq, _tree_hash, _tree_repr
 
 
 @record
 class Par:
     left: object
     right: object
+    __eq__, __hash__, __repr__ = _tree_eq, _tree_hash, _tree_repr
 
 
 GraphExpr = object  # Node | Seq | Par
@@ -263,7 +319,6 @@ class Plan:
     blank: tuple  # one EMPTY per graph output
     direct: tuple  # per leaf: its output ports are the graph outputs, in order
     touched: tuple  # per leaf: the leaves a step there may replace: itself, then those its wires feed
-    firsts: tuple  # per leaf: (StepChoice(leaf, 0),), its choices when it has one step
     reads: tuple  # (read_defer key, leaf) in tree order
     writes: tuple  # (write_defer key, leaf) in tree order
 
@@ -350,7 +405,6 @@ def _plan(e) -> tuple:
         blank=(EMPTY,) * len(outs),
         direct=tuple(w == graph_outs for w in wires),
         touched=tuple(tuple(dict.fromkeys([i] + [j for j, _b in w if j >= 0])) for i, w in enumerate(wires)),
-        firsts=tuple((StepChoice(i, 0),) for i in range(len(leaves))),
         reads=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_reads),
         writes=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_writes),
     )
@@ -409,17 +463,7 @@ class FlatGraph:
         return hash(self.nodes)
 
     def __repr__(self):
-        # The tree's dataclass repr, written with an explicit stack.
-        pieces, stack = [], [self.tree()]
-        while stack:
-            g = stack.pop()
-            if type(g) is str:
-                pieces.append(g)
-            elif type(g) is Node:
-                pieces.append(repr(g))
-            else:
-                stack += (")", g.right, ", right=", g.left, f"{type(g).__name__}(left=")
-        return "".join(pieces)
+        return repr(self.tree())
 
     def tree(self):
         """The composition tree this graph stands for, rebuilt from the shape."""
@@ -551,24 +595,14 @@ def _deltas(plan: Plan, i: int, r, written: tuple) -> tuple:
     return tuple(outs)
 
 
-def _listed(firsts: tuple, i: int, c: int) -> tuple:
-    """The choices of leaf ``i`` when it has ``c`` steps."""
-    if c < 2:
-        return firsts[i] if c else ()
-    return firsts[i] + tuple(StepChoice(i, k) for k in range(1, c))
-
-
 def enabled_steps(e, exhaustive: bool = False) -> list:
     """Every applicable step, identified by leaf and choice index."""
     g = compile_graph(e)
-    plan, out = g.plan, []
-    for i, n in enumerate(g.nodes):
-        out += _listed(plan.firsts, i, len(_outcomes(n, exhaustive)))
-    return out
+    return [StepChoice(i, k) for i, n in enumerate(g.nodes) for k in range(len(_outcomes(n, exhaustive)))]
 
 
 def step_graph(e, choice: StepChoice, exhaustive: bool = False):
-    """Apply one chosen step; returns (graph', output deltas, rule chain)."""
+    """Apply one chosen step; returns (graph', output deltas)."""
     g = compile_graph(e)
     i = choice.leaf
     if not 0 <= i < len(g.nodes):
@@ -578,13 +612,13 @@ def step_graph(e, choice: StepChoice, exhaustive: bool = False):
         raise InvalidChoice(f"{g.nodes[i].op.name}: choice {choice.index} of {len(rs)}")
     nodes, r = list(g.nodes), rs[choice.index]
     written = _advance(g.plan, nodes, i, r)
-    return FlatGraph(g.plan, tuple(nodes)), _deltas(g.plan, i, r, written), g.plan.where(i)[1]
+    return FlatGraph(g.plan, tuple(nodes)), _deltas(g.plan, i, r, written)
 
 
 def step_first(e):
     """Fast path: apply the first enabled step in tree order, if any.
 
-    Returns (graph', deltas, rules, choice) or None when stuck: the
+    Returns (graph', deltas, choice) or None when stuck: the
     kernel's first step, as ``trajectory(e, cap=1)`` yields it. It drives
     the kernel itself, not through ``trajectory``, because ``nest`` calls
     it once per inner step and a second generator per call shows on
@@ -593,8 +627,7 @@ def step_first(e):
     """
     g = compile_graph(e)
     for nodes, i, _k, r, written in _kernel(g, None, 1):
-        plan = g.plan
-        return FlatGraph(plan, tuple(nodes)), _deltas(plan, i, r, written), plan.where(i)[1], plan.firsts[i][0]
+        return FlatGraph(g.plan, tuple(nodes)), _deltas(g.plan, i, r, written), StepChoice(i, 0)
     return None
 
 
@@ -613,19 +646,19 @@ def _kernel(g: FlatGraph, picker: Optional[Callable], cap: Optional[int]):
     Without a picker it takes the first enabled step in tree order. A
     step replaces only its leaf and the leaves its wires feed, which come
     later in tree order, so every leaf before the stepped one is still
-    stuck and the next scan resumes there. With a picker it keeps each
-    leaf's choices and re-lists only the leaves the step touched; the
-    picker sees them flattened in tree order, as ``enabled_steps`` lists
-    them, in a list the kernel keeps while no leaf's choices change, so a
-    picker must not change it.
+    stuck and the next scan resumes there. With a picker it keeps one
+    step count per leaf and their total, and re-counts only the leaves
+    the step touched. ``picker(n)`` is given the number of enabled steps
+    and returns the index of one in ``enabled_steps`` order (by leaf, then
+    by choice), which the kernel finds by walking the counts, or None to
+    stop; an index outside ``[0, n)`` raises InvalidChoice.
     """
     plan, nodes = g.plan, list(g.nodes)
-    touched, firsts = plan.touched, plan.firsts
     n, steps, i = len(nodes), 0, 0  # without a picker, every leaf before i is stuck
-    lists = None if picker is None else [_listed(firsts, j, _count(nd)) for j, nd in enumerate(nodes)]
-    choices = None  # the flattened lists, kept while no leaf's choices change
+    counts = None if picker is None else [_count(nd) for nd in nodes]
+    total = 0 if counts is None else sum(counts)
     while cap is None or steps < cap:
-        if lists is None:
+        if counts is None:
             while i < n:
                 c = _count(nodes[i])
                 if c:
@@ -635,37 +668,36 @@ def _kernel(g: FlatGraph, picker: Optional[Callable], cap: Optional[int]):
                 return
             k = 0
         else:
-            if choices is None:
-                choices = list(chain.from_iterable(lists))
-            choice = picker(choices, steps) if choices else None
-            if choice is None:
+            k = picker(total) if total else None
+            if k is None:
                 return
-            i, k = choice.leaf, choice.index
-            if not 0 <= i < n:
-                raise InvalidChoice(f"no leaf {i} in a graph of {n} leaves")
-            c = len(lists[i])
-            if not 0 <= k < c:
-                raise InvalidChoice(f"{nodes[i].op.name}: choice {k} of {c}")
+            if not 0 <= k < total:
+                raise InvalidChoice(f"picked step {k} of {total} enabled steps")
+            i = 0
+            while k >= counts[i]:
+                k -= counts[i]
+                i += 1
+            c = counts[i]
         rs = _outcomes(nodes[i], False)
         if len(rs) != c:
             raise FloError(f"{nodes[i].op.name}: enabled_fn counts {c} steps but steps_fn returned {len(rs)}")
         r = rs[k]
         written = _advance(plan, nodes, i, r)
-        if lists is not None:
-            for j in touched[i]:
-                listed = _listed(firsts, j, _count(nodes[j]))
-                if listed is not lists[j]:
-                    lists[j], choices = listed, None
+        if counts is not None:
+            for j in plan.touched[i]:
+                c = _count(nodes[j])
+                total += c - counts[j]
+                counts[j] = c
         yield nodes, i, k, r, written
         steps += 1
 
 
 def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
-    """The run loop: yield (graph', deltas, rules, choice) for each step.
+    """The run loop: yield (graph', deltas, choice) for each step.
 
-    ``picker(choices, step_index)`` selects among the enabled steps, or
-    returns None to stop, and leaves the list as it is; without a picker
-    the first enabled step in tree order is taken. The loop ends at a stuck
+    ``picker(n)`` picks one of the ``n`` enabled steps by its index in
+    ``enabled_steps`` order, or returns None to stop; without a picker the
+    first enabled step in tree order is taken. The loop ends at a stuck
     graph or after ``cap`` steps, without looking for a further step. Each
     step builds its graph, for callers that look at every configuration;
     ``run_steps`` builds one.
@@ -673,8 +705,7 @@ def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
     g = compile_graph(e)
     plan = g.plan
     for nodes, i, k, r, written in _kernel(g, picker, cap):
-        choice = plan.firsts[i][0] if k == 0 else StepChoice(i, k)
-        yield FlatGraph(plan, tuple(nodes)), _deltas(plan, i, r, written), plan.where(i)[1], choice
+        yield FlatGraph(plan, tuple(nodes)), _deltas(plan, i, r, written), StepChoice(i, k)
 
 
 @record
@@ -729,11 +760,11 @@ def run_to_stuck(
 ):
     """Run until no step applies, folding emissions into the outputs.
 
-    ``picker(choices, step_index)`` selects among enabled steps; None uses
-    the first enabled step in tree order. The budget is a fixed cap on
-    work: a run still going after ``budget + 1`` steps raises
-    StepBudgetExceeded, which reports the cap, the steps taken and the
-    graph's current rank.
+    ``picker(n)`` picks one of the ``n`` enabled steps by index, as
+    ``trajectory`` says; None uses the first enabled step in tree order.
+    The budget is a fixed cap on work: a run still going after
+    ``budget + 1`` steps raises StepBudgetExceeded, which reports the
+    cap, the steps taken and the graph's current rank.
     """
     e, outputs, steps = run_steps(e, outputs, picker, budget + 1, log)
     if steps > budget:
@@ -782,7 +813,7 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
             stuck.append(cfg)
             continue
         for ch in choices:
-            g2, deltas, _rules = step_graph(g, ch, exhaustive=True)
+            g2, deltas = step_graph(g, ch, exhaustive=True)
             nxt = (g2, outs if deltas is blank else apply_outputs(outs, deltas))
             if nxt in parents:
                 continue

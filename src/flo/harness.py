@@ -113,7 +113,7 @@ def check_eager(subject, cases, budget: int = 4000) -> PropertyReport:
         g0, outs0, _ = run_steps(g0, outs0, cap=case.presteps)
         target = run_to_stuck(_feed(g0, case.delta), outs0, budget=budget)[:2]
         for choice in enabled_steps(g0):
-            g1, deltas, _ = step_graph(g0, choice)
+            g1, deltas = step_graph(g0, choice)
             stuck = run_to_stuck(_feed(g1, case.delta), apply_outputs(outs0, deltas), budget=budget)[:2]
             if stuck != target:
                 cx = {
@@ -182,7 +182,7 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
         g, outs = _as_graph(base, outs_types, case.buffers)
         before = None  # the rank of g, carried over from the previous step
         steps = 0
-        for g2, deltas, _rules, choice in trajectory(g, pick, budget + 1):
+        for g2, deltas, choice in trajectory(g, pick, budget + 1):
             if before is None:
                 before = graph_rank(g)
             after = graph_rank(g2)
@@ -300,7 +300,7 @@ def _lasso(g, outs) -> tuple:
     while cfg not in at:
         at[cfg] = len(choices)
         choice = enabled_steps(cfg[0], exhaustive=True)[0]
-        g2, deltas, _rules = step_graph(cfg[0], choice, exhaustive=True)
+        g2, deltas = step_graph(cfg[0], choice, exhaustive=True)
         cfg = (g2, apply_outputs(cfg[1], deltas))
         choices.append(choice)
     k = at[cfg]

@@ -21,7 +21,6 @@ from typing import Optional
 from .core import (
     BatchShapeMismatch,
     FloError,
-    InvalidChoice,
     PayloadShapeMismatch,
     StepBudgetExceeded,
     bottom,
@@ -61,30 +60,32 @@ class RandomSched:
 
 @dataclass(frozen=True)
 class Scripted:
-    choices: tuple  # of StepChoice
+    choices: tuple  # of step indices, each into the steps enabled when it is taken
 
 
-# Pickers are called as ``picker(choices, step_index)``, the protocol of
-# ``graph.trajectory``; they keep their own position across iterations and
-# leave the list they are given as it is.
+# Pickers are called as ``picker(n)``, the protocol of ``graph.trajectory``:
+# given the number of enabled steps, they return the index of one in
+# ``enabled_steps`` order, or None to stop, and the run raises InvalidChoice
+# for an index outside ``[0, n)``. They keep their own position across
+# iterations.
 
 
 class _RoundRobinPicker:
     def __init__(self):
         self.counter = 0
 
-    def __call__(self, choices, _step):
-        c = choices[self.counter % len(choices)]
+    def __call__(self, n):
+        k = self.counter % n
         self.counter += 1
-        return c
+        return k
 
 
 class _RandomPicker:
     def __init__(self, seed):
         self.rng = random.Random(seed)
 
-    def __call__(self, choices, _step):
-        return choices[self.rng.randrange(len(choices))]
+    def __call__(self, n):
+        return self.rng.randrange(n)
 
 
 class _ScriptedPicker:
@@ -92,14 +93,11 @@ class _ScriptedPicker:
         self.script = list(script)
         self.pos = 0
 
-    def __call__(self, choices, _step):
+    def __call__(self, n):
         if self.pos >= len(self.script):
             return None
-        c = self.script[self.pos]
-        if c not in choices:
-            raise InvalidChoice(f"scripted choice {c} is not enabled")
         self.pos += 1
-        return c
+        return self.script[self.pos - 1]
 
 
 def make_picker(sched):

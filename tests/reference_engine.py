@@ -88,11 +88,12 @@ def step_graph(e, choice, exhaustive=False):
 
 def run_steps(e, outputs, picker, cap, log, iteration):
     """Take up to ``cap`` steps chosen by ``picker``, logging each one."""
-    for steps in range(cap):
+    for _ in range(cap):
         choices = enabled_steps(e)
-        choice = picker(choices, steps) if choices else None
-        if choice is None:
+        pick = picker(len(choices)) if choices else None
+        if pick is None:
             break
+        choice = choices[pick]
         e, deltas, rules = step_graph(e, choice)
         outputs = apply_outputs(outputs, deltas)
         log.append({"iter": iteration, "path": "".join(choice.path), "choice": choice.index, "rules": list(rules)})

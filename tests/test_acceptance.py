@@ -401,8 +401,8 @@ def test_criterion_8_lvar_threshold():
         for s in range(100):
             sched_rng = random.Random(s)
 
-            def picker(choices, i):
-                return choices[sched_rng.randrange(len(choices))]
+            def picker(n):
+                return sched_rng.randrange(n)
 
             _, outs, _ = run_to_stuck(g0, outs0, picker=picker)
             fired = 100 in outs[0].items

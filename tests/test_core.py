@@ -9,7 +9,6 @@ from flo.core import (
     INT,
     Payload,
     Rank,
-    RankViolation,
     StreamType,
     TERMINATOR,
     U,
@@ -17,9 +16,9 @@ from flo.core import (
     fix,
     is_fixed,
     member,
-    step_operator,
     subtype,
 )
+from flo.graph import graph_rank, node, step_first
 from flo.lvar import LVarValue, lvar_tag
 from flo.seq import SeqValue, seq, seq_map, seq_tag
 from flo.sets import SetValue, set_tag
@@ -162,37 +161,42 @@ class TestConcatExamples:
         assert not is_fixed(LVarValue("max_nat", 5, False))
 
 
+def test_every_exported_name_resolves():
+    import flo
+
+    assert [name for name in flo.__all__ if not hasattr(flo, name)] == []
+
+
 class TestStepOperator:
     def test_step_returns_result_and_descends(self):
-        op = seq_map("inc", INT, INT)
-        r = step_operator(op, (seq(3),), op.initial_state)
-        assert r is not None
-        assert r.deltas == (Payload(SeqValue(False, (4,))),)
+        g = node(seq_map("inc", INT, INT), (seq(3),))
+        g2, deltas, _choice = step_first(g)
+        assert deltas == (Payload(SeqValue(False, (4,))),)
+        assert graph_rank(g2) < graph_rank(g)
 
     def test_stuck_returns_none(self):
-        op = seq_map("inc", INT, INT)
-        assert step_operator(op, (SeqValue(False, ()),), op.initial_state) is None
+        assert step_first(node(seq_map("inc", INT, INT), (SeqValue(False, ()),))) is None
 
     def test_rank_violation_detected(self):
+        from flo.harness import OpCase, check_rank_and_preservation
         from flo.opcatalog import constant_rank
 
-        op = constant_rank(INT)
-        with pytest.raises(RankViolation):
-            step_operator(op, (seq(1),), op.initial_state)
+        report = check_rank_and_preservation(constant_rank(INT), [OpCase((seq(1),))])
+        assert report.prop == "RankDescent" and not report.passed
+        assert report.details["reason"] == "rank did not decrease"
 
     def test_thresh_from_motivating_example(self):
         from flo.lvar import thresh
 
-        op = thresh("max_nat", (100,))
-        r = step_operator(op, (LVarValue("max_nat", 150, False),), op.initial_state)
-        assert r.deltas == (Payload(SeqValue(False, (100,))),)
+        _, deltas, _ = step_first(node(thresh("max_nat", (100,)), (LVarValue("max_nat", 150, False),)))
+        assert deltas == (Payload(SeqValue(False, (100,))),)
 
 
 def test_fold_step_accumulates_silently():
     from flo.seq import fold
 
-    op = fold(0, "add", INT, INT)
-    r = step_operator(op, (seq(3),), op.initial_state)
-    assert r.buffers == (SeqValue(False, ()),)
-    assert r.state.acc == 3
-    assert r.deltas == (EMPTY,)
+    g, deltas, _ = step_first(node(fold(0, "add", INT, INT), (seq(3),)))
+    (n,) = g.nodes
+    assert n.buffers == (SeqValue(False, ()),)
+    assert n.state.acc == 3
+    assert deltas == (EMPTY,)

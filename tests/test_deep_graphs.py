@@ -1,8 +1,8 @@
 """Deep composition trees, at the interpreter's default recursion limit.
 
 Every walk of a graph (compiling, typechecking, the type queries, running,
-hashing, comparing and printing a compiled graph, the JSON codec and the
-builders) must run without recursion, so graphs far deeper than the
+hashing, comparing and printing a tree or a compiled graph, the JSON codec
+and the builders) must run without recursion, so graphs far deeper than the
 recursion limit work end to end. Compiling takes memory linear in the
 tree, a run keeps nothing per leaf beyond its nodes and folds a step only
 into the outputs it wrote, and every wire runs forward in tree order.
@@ -19,7 +19,7 @@ from flo import graph as graph_module
 from flo import programs
 from flo.cli import main
 from flo.jsonio import decode_graph, encode_graph
-from flo.core import INT, U, bottom
+from flo.core import INT, U, ArityMismatch, bottom
 from flo.graph import (
     Par,
     Seq,
@@ -31,6 +31,8 @@ from flo.graph import (
     run_to_stuck,
     seq_chain,
     set_inputs,
+    step_first,
+    trajectory,
     typecheck,
 )
 from flo.seq import seq, seq_map, seq_tag, tee
@@ -100,6 +102,12 @@ def test_a_run_keeps_no_rule_chains():
     # A rule chain kept per stepped leaf, as long as the leaf is deep,
     # retained 18.8 MB here.
     assert done[2] == N and retained < 2_000_000
+    # Nor does a run through trajectory or step_first, as the rank checker
+    # and nest take them: no path or rule chain is worked out.
+    for _step in trajectory(fed, cap=10):
+        pass
+    step_first(fed)
+    assert fed.plan.located == [None] * N
 
 
 def test_a_step_folds_only_into_the_outputs_it_wrote(monkeypatch):
@@ -152,6 +160,27 @@ def test_a_100k_chain_compiles_hashes_compares_and_prints():
     assert flat == again and hash(flat) == hash(again)
     text = repr(flat)
     assert text.startswith("Seq(left=Node(") and text.count("Seq(left=") == n - 1
+
+
+@pytest.mark.parametrize("build", [seq_chain, par])
+def test_a_100k_builder_tree_hashes_compares_and_prints(build):
+    n = 100_000
+    nodes = [node(INC) for _ in range(n)]
+    tree, again = build(*nodes), build(*nodes)
+    assert tree is not again and tree == again and hash(tree) == hash(again)
+    assert tree != build(*nodes[:-1], node(INC, (seq(1),)))
+    text = repr(tree)
+    kind = type(tree).__name__
+    assert text.startswith(f"{kind}(left=Node(") and text.count(f"{kind}(left=") == n - 1
+
+
+def test_an_ill_typed_builder_tree_prints_without_compiling():
+    leaf = node(INC)
+    tree = Seq(Par(leaf, leaf), leaf)  # two outputs feed one input
+    with pytest.raises(ArityMismatch):
+        compile_graph(tree)
+    assert repr(tree) == f"Seq(left=Par(left={leaf!r}, right={leaf!r}), right={leaf!r})"
+    assert repr(Par(leaf, "x")) == f"Par(left={leaf!r}, right='x')"
 
 
 @pytest.mark.parametrize("build", [seq_chain, par])

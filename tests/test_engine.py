@@ -21,6 +21,7 @@ from flo.core import (
     U,
     ElemType,
     FloError,
+    InvalidChoice,
     OperatorDef,
     Payload,
     Push,
@@ -42,6 +43,7 @@ from flo.graph import (
     explore_all,
     node,
     out_types,
+    run_steps,
     run_to_stuck,
     seq_chain,
     set_inputs,
@@ -181,7 +183,7 @@ def test_a_choice_listed_on_another_graph_is_re_evaluated():
     g1 = node(seq_map("inc", INT, INT), (seq(1),))
     g2 = node(seq_map("inc", INT, INT), (seq(5),))
     (choice,) = enabled_steps(g1)
-    _, deltas, _ = step_graph(g2, choice)
+    _, deltas = step_graph(g2, choice)
     assert deltas[0].value == seq(6)
 
 
@@ -190,8 +192,8 @@ def test_stuck_subtrees_are_skipped(op_calls):
     g = Par(stuck_left, node(seq_map("inc", INT, INT), (seq(1, 2, 3),)))
     assert step_first(stuck_left) is None
     before = op_calls["n"]
-    g, _, _, _ = step_first(g)
-    g, _, _, _ = step_first(g)
+    g, _, _ = step_first(g)
+    g, _, _ = step_first(g)
     assert op_calls["n"] - before == 2  # only the right node, once per step
 
 
@@ -253,6 +255,51 @@ def test_a_step_costs_about_the_same_on_long_and_short_chains():
     # Rescanning from leaf 0 cost 34.9 us per step at 800 leaves, 5.6 at 10.
     short, long = us_per_step(10, 40), us_per_step(800, 3)
     assert long < 2 * short, (short, long)
+
+
+# ---------------------------------------------------------------------------
+# the picker protocol: picker(n) -> an index into the n enabled steps, or None
+
+
+def two_maps():
+    """Two ``map`` leaves side by side, with two items and one."""
+    g = set_inputs(Par(node(seq_map("inc", INT, INT)), node(seq_map("inc", INT, INT))), (seq(1, 2), seq(3)))
+    return g, tuple(bottom(st.collection) for st in out_types(g))
+
+
+def test_a_pick_is_an_index_in_enabled_steps_order():
+    g, _outs = two_maps()
+    seen = []
+
+    def last(n):
+        seen.append(n)
+        return n - 1
+
+    ((_g2, _deltas, choice),) = trajectory(g, last, cap=1)
+    assert seen == [2] and choice == enabled_steps(g)[1] == StepChoice(1, 0)
+
+
+@pytest.mark.parametrize("pick", [-1, 2, 5])
+def test_a_pick_outside_the_enabled_steps_raises_invalid_choice(pick):
+    g, outs = two_maps()
+    with pytest.raises(InvalidChoice):
+        run_steps(g, outs, lambda n: pick)
+
+
+def test_a_picker_that_returns_none_stops_the_run():
+    g, outs = two_maps()
+    picks = iter([0, 0])
+    g2, _outs, steps = run_steps(g, outs, lambda n: next(picks, None))
+    # Both items of the left leaf are taken; the right leaf's item is left.
+    assert steps == 2 and enabled_steps(g2) == [StepChoice(1, 0)]
+
+
+def test_a_script_of_one_index_takes_one_step():
+    g, outs = two_maps()
+    _, _, steps = run_steps(g, outs, scheduler.make_picker(scheduler.Scripted((0,))))
+    assert steps == 1
+    with pytest.raises(InvalidChoice):
+        run_steps(g, outs, scheduler.make_picker(scheduler.Scripted((2,))))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +379,11 @@ def dict_run_steps(e, outputs, picker=None, cap=None, log=None, iteration=None):
     """``run_steps`` logging a fresh ``--log`` dict per step, built straight
     from what ``trajectory`` yields."""
     g, steps = compile_graph(e), 0
-    for g, deltas, rules, choice in trajectory(g, picker, cap):
+    for g, deltas, choice in trajectory(g, picker, cap):
         outputs = apply_outputs(outputs, deltas)
         if log is not None:
-            entry = {"path": g.plan.where(choice.leaf)[0], "choice": choice.index, "rules": list(rules)}
+            label, rules = g.plan.where(choice.leaf)
+            entry = {"path": label, "choice": choice.index, "rules": list(rules)}
             if iteration is not None:
                 entry["iter"] = iteration
             log.append(entry)

@@ -130,20 +130,20 @@ class TestSteps:
         g = Seq(node(seq_map("inc", INT, INT), (seq(1),)), node(scan(0, "add", INT, INT)))
         choices = enabled_steps(g)
         assert len(choices) == 1
-        g2, deltas, rules = step_graph(g, choices[0])
+        g2, deltas = step_graph(g, choices[0])
         assert deltas == (EMPTY,)
-        assert rules == ("sequence-left", "operator")
+        assert g2.plan.where(choices[0].leaf)[1] == ("sequence-left", "operator")
         assert g2.nodes[1].buffers == (SeqValue(False, (2,)),)
 
     def test_sequence_left_preserves_right_state(self):
         g = Seq(node(seq_map("inc", INT, INT), (seq(1),)), node(scan(0, "add", INT, INT)))
-        g2, _, _ = step_graph(g, enabled_steps(g)[0])
+        g2, _ = step_graph(g, enabled_steps(g)[0])
         assert g2.nodes[1].state is g.right.state
 
     def test_par_pads_other_side(self):
         g = Par(node(seq_map("inc", INT, INT), (seq(1),)), node(seq_map("inc", INT, INT)))
-        g2, deltas, rules = step_graph(g, enabled_steps(g)[0])
-        assert rules[0] == "par-left"
+        g2, deltas = step_graph(g, enabled_steps(g)[0])
+        assert g2.plan.where(0)[1][0] == "par-left"
         assert deltas == (Payload(SeqValue(False, (2,))), EMPTY)
 
     def test_two_sides_give_two_choices(self):
@@ -176,8 +176,8 @@ class TestRunToStuck:
         base = run_to_stuck(g0, outs0)[:2]
         rng = random.Random(7)
 
-        def random_picker(choices, i):
-            return choices[rng.randrange(len(choices))]
+        def random_picker(n):
+            return rng.randrange(n)
 
         for _ in range(20):
             assert run_to_stuck(g0, outs0, picker=random_picker)[:2] == base
@@ -190,7 +190,7 @@ class TestRunToStuck:
             choices = enabled_steps(g)
             if not choices:
                 break
-            g, deltas, _ = step_graph(g, choices[0])
+            g, deltas = step_graph(g, choices[0])
             cur = graph_rank(g)
             assert cur < prev
             prev = cur
@@ -259,7 +259,7 @@ def bfs_depths(g, outs):
     while queue:
         cfg = queue.popleft()
         for ch in enabled_steps(cfg[0], exhaustive=True):
-            g2, deltas, _ = step_graph(cfg[0], ch, exhaustive=True)
+            g2, deltas = step_graph(cfg[0], ch, exhaustive=True)
             nxt = (g2, apply_outputs(cfg[1], deltas))
             if nxt not in depth:
                 depth[nxt] = depth[cfg] + 1
@@ -283,6 +283,6 @@ def test_explore_all_returns_shortest_schedules():
         assert len(path) == depth[stuck]
         cur_g, cur_o = g, outs
         for ch in path:
-            cur_g, deltas, _ = step_graph(cur_g, ch, exhaustive=True)
+            cur_g, deltas = step_graph(cur_g, ch, exhaustive=True)
             cur_o = apply_outputs(cur_o, deltas)
         assert (cur_g, cur_o) == stuck

@@ -283,7 +283,7 @@ def _replay_labels(g, outs, schedule):
     g = compile_graph(g)
     leaf = {g.plan.where(i)[0]: i for i in range(len(g.nodes))}
     for step in schedule:
-        g, deltas, _ = step_graph(g, StepChoice(leaf[step["path"]], step["choice"]), exhaustive=True)
+        g, deltas = step_graph(g, StepChoice(leaf[step["path"]], step["choice"]), exhaustive=True)
         outs = apply_outputs(outs, deltas)
     return g, outs
 

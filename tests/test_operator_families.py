@@ -305,7 +305,7 @@ def test_the_per_item_operators_declare_their_count():
 def run_configs(g):
     """``g`` and every configuration along its run to stuck, without a picker."""
     configs = [compile_graph(g)]
-    for g2, _deltas, _rules, _choice in trajectory(g, cap=10_000):
+    for g2, _deltas, _choice in trajectory(g, cap=10_000):
         configs.append(g2)
     return configs
 

@@ -121,9 +121,7 @@ def test_ill_typed_batch_rejected_at_the_loop_boundary():
 def test_scripted_schedule_stops_when_exhausted():
     g = fold_pipeline()
     cfg = LoopConfig(g, (SeqValue(False, ()),))
-    from flo.graph import StepChoice
-
-    picker = make_picker(Scripted((StepChoice(0, 0),)))
+    picker = make_picker(Scripted((0,)))
     cfg2, _ = loop_iteration(cfg, batch(payload(1, 2)), picker, None, DrainNone())
     # one scripted step consumed exactly one element
     assert inputs(cfg2.graph) == (SeqValue(False, (2,)),)
