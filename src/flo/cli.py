@@ -83,6 +83,15 @@ def _determinism_inputs(types, args) -> tuple:
     return tuple(gen_value(st.collection, rng) for st in types)
 
 
+# Case-based checks by --property name: the report names each makes (how
+# ``flo replay`` finds it) and the check, called with subject, cases, seed.
+_CASE_CHECKS = {
+    "eager": (("EagerExecution",), lambda s, cases, seed: check_eager(s, cases)),
+    "progress": (("StreamingProgress",), lambda s, cases, seed: check_progress(s, cases)),
+    "rank": (("RankDescent", "Preservation"), lambda s, cases, seed: check_rank_and_preservation(s, cases, seed=seed)),
+}
+
+
 def _check_one(subject, types, prop, args):
     """Run one property check on an operator or a graph whose exterior
     inputs have the given stream types."""
@@ -95,18 +104,14 @@ def _check_one(subject, types, prop, args):
             seed=args.seed,
         )
     cases = sample_cases(types, prop, args.cases, args.seed)
-    if prop == "eager":
-        return check_eager(subject, cases)
-    if prop == "progress":
-        return check_progress(subject, cases)
-    return check_rank_and_preservation(subject, cases, seed=args.seed)
+    return _CASE_CHECKS[prop][1](subject, cases, args.seed)
 
 
 def cmd_check(args) -> int:
     if bool(args.graph) == bool(args.operator):
         print("check needs exactly one of GRAPH or --operator", file=sys.stderr)
         return 2
-    props = ["eager", "progress", "rank"] if args.property == "all" else [args.property]
+    props = list(_CASE_CHECKS) if args.property == "all" else [args.property]
     if args.operator:
         if args.operator not in REGISTRY:
             print(f"unknown operator {args.operator!r}", file=sys.stderr)
@@ -173,12 +178,8 @@ def cmd_replay(args) -> int:
             ),
             presteps=case_j.get("presteps", 0),
         )
-        if prop == "EagerExecution":
-            report = check_eager(subject, [case])
-        elif prop == "StreamingProgress":
-            report = check_progress(subject, [case])
-        else:
-            report = check_rank_and_preservation(subject, [case])
+        check = next((c for names, c in _CASE_CHECKS.values() if prop in names), _CASE_CHECKS["rank"][1])
+        report = check(subject, [case], 0)
     subject_desc = {k: data[k] for k in ("operator", "params", "graph") if k in data}
     out = encode_report(report, subject_desc)
     out["replayed"] = True
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", help="check a registered operator instead of a graph")
     p.add_argument(
         "--property",
-        choices=["eager", "progress", "rank", "determinism", "all"],
+        choices=[*_CASE_CHECKS, "determinism", "all"],
         default="all",
     )
     p.add_argument("--cases", type=int, default=200)

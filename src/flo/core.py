@@ -268,6 +268,42 @@ def pair(a: ElemType, b: ElemType) -> ElemType:
     return ElemType("pair", (a, b))
 
 
+# Atoms, the elements of collections, are their own JSON, except that a
+# pair is a list and a frozenset (a ``set_union`` point) ``{"set": [...]}``.
+
+
+def encode_atom(x):
+    if isinstance(x, tuple):
+        return [encode_atom(e) for e in x]
+    if isinstance(x, frozenset):
+        return {"set": sorted((encode_atom(e) for e in x), key=repr)}
+    return x
+
+
+def decode_atom(j):
+    if isinstance(j, list):
+        return tuple(decode_atom(e) for e in j)
+    if isinstance(j, dict) and "set" in j:
+        return frozenset(decode_atom(e) for e in j["set"])
+    return j
+
+
+def gen_atom(elem: ElemType, rng):
+    """A seeded random atom of the element type."""
+    if elem.name == "bool":
+        return rng.random() < 0.5
+    if elem.name == "str":
+        return rng.choice("abcde")
+    if elem.name == "pair":
+        return (gen_atom(elem.args[0], rng), gen_atom(elem.args[1], rng))
+    return rng.randint(0, 9)  # int, nat and any
+
+
+def draw_fixed(rng, fixed, p=0.3):
+    """``fixed`` if it is given, else True with probability ``p``."""
+    return fixed if fixed is not None else rng.random() < p
+
+
 @record
 class Tag:
     """A collection type: language name plus its type parameters.
@@ -405,6 +441,10 @@ class CollectionLanguage:
     * ``is_fixed(c)`` implies ``concat(c, d) == c`` for all ``d``;
     * ``concat(c, EMPTY) == c``;
     * concat preserves membership in any tag of this language.
+
+    A language owns all that reads its values' layout, its JSON form
+    (``to_json``/``from_json``) and seeded draws (``sample``,
+    ``sample_payload``, ``sample_delta``) included.
     """
 
     name: str = ""
@@ -416,18 +456,39 @@ class CollectionLanguage:
         raise NotImplementedError
 
     def is_fixed(self, value) -> bool:
-        raise NotImplementedError
+        return value.fixed
 
     def fix(self, value):
         raise NotImplementedError
 
     def bottom(self, tag: Tag):
-        """The language's neutral starting value for the given tag."""
+        """The language's neutral starting value for the given tag.
+        ``Payload(value)`` applied to it rebuilds ``value``."""
         raise NotImplementedError
 
-    def value_delta(self, value):
-        """A single delta that rebuilds ``value`` when applied to bottom."""
-        return Payload(value)
+    # The JSON form ``jsonio.encode_value``/``decode_value`` dispatch to;
+    # ``from_json`` raises KeyError, TypeError or AttributeError on bad JSON.
+    def to_json(self, value):
+        raise NotImplementedError
+
+    def from_json(self, j, tag: Tag):
+        raise NotImplementedError
+
+    # Seeded draws, the ones ``gen.gen_value``/``gen_delta`` dispatch to.
+    # ``sample`` is a member of ``tag``, fixed as given (None: drawn).
+    # ``sample_delta`` is valid for ``current`` and any consumed version of
+    # it; given ``gen_delta``'s roll in [0.15, 1) it is the terminator
+    # below 0.35, else a ``Payload`` of ``sample_payload``.
+    def sample(self, tag: Tag, rng, fixed):
+        raise NotImplementedError
+
+    def sample_payload(self, tag: Tag, rng, current):
+        raise NotImplementedError
+
+    def sample_delta(self, tag: Tag, rng, current, roll):
+        if roll < 0.35:
+            return TERMINATOR
+        return Payload(self.sample_payload(tag, rng, current))
 
     # Content consumption: used by pass-through operators (tee, forward,
     # zip) that stream a buffer onward. Returns (delta, residue) where the
@@ -458,8 +519,8 @@ class CollectionLanguage:
         raise NotImplementedError
 
     # Drain support for the event loop: split a pending output into a
-    # drained part and a remainder such that re-applying value_delta of
-    # the drained parts in drain order rebuilds the original stream.
+    # drained part (or None) and a remainder such that recombining the
+    # drained parts in drain order rebuilds the original stream.
     def split_all(self, value):
         """(drained, remainder) for a full drain."""
         return value, self.bottom_of(value)
@@ -468,13 +529,9 @@ class CollectionLanguage:
         """Drain up to n oldest units; default drains nothing."""
         return None, value
 
-    # A full drain of a value that can only be delivered whole (one-shot
-    # singletons, lattice points) waits until the value is fixed.
-    whole_drain_requires_fixed = False
-
     def recombine(self, total, piece):
         """Fold one drained piece back into the running total."""
-        return concat(total, self.value_delta(piece))
+        return concat(total, Payload(piece))
 
     def bottom_of(self, value):
         raise NotImplementedError

@@ -1,7 +1,8 @@
 """Canonical JSON forms for values, deltas, graphs, traces and reports.
 
 Values decode against a known collection type (the graph supplies it), so
-the encodings carry no type discriminators:
+the encodings carry no type discriminators. Each language writes and
+reads its own form (``to_json``/``from_json``); the forms are:
 
 * sequence: {"terminated": bool, "items": [...]} with items newest first
 * lattice variable: {"lattice": id, "value": ..., "fixed": bool}
@@ -27,13 +28,7 @@ from .core import (
     Push,
     TERMINATOR,
     Tag,
-    sort_key,
 )
-from .lvar import LVarValue
-from .nested import NestedSeqValue
-from .seq import SeqValue, SingletonNat
-from .sets import SetValue
-from .zset import ZSetValue, zset
 
 
 class ParseError(FloError):
@@ -41,86 +36,25 @@ class ParseError(FloError):
 
 
 # ---------------------------------------------------------------------------
-# atoms
-
-
-def encode_atom(x):
-    if isinstance(x, tuple):
-        return [encode_atom(e) for e in x]
-    if isinstance(x, frozenset):
-        return {"set": sorted((encode_atom(e) for e in x), key=repr)}
-    return x
-
-
-def decode_atom(j):
-    if isinstance(j, list):
-        return tuple(decode_atom(e) for e in j)
-    if isinstance(j, dict) and "set" in j:
-        return frozenset(decode_atom(e) for e in j["set"])
-    return j
-
-
-def _key_str(k) -> str:
-    if isinstance(k, str):
-        return k
-    return json.dumps(encode_atom(k))
-
-
-def _key_from_str(s: str):
-    try:
-        return decode_atom(json.loads(s))
-    except (json.JSONDecodeError, ValueError):
-        return s
-
-
-# ---------------------------------------------------------------------------
-# values
+# values: each language writes and reads its own form
 
 
 def encode_value(v):
-    if isinstance(v, SeqValue):
-        return {"terminated": v.terminated, "items": [encode_atom(i) for i in v.items]}
-    if isinstance(v, LVarValue):
-        return {"lattice": v.lattice, "value": encode_atom(v.value), "fixed": v.fixed}
-    if isinstance(v, ZSetValue):
-        return {"cards": {_key_str(k): c for k, c in v.cards}, "fixed": v.fixed}
-    if isinstance(v, SetValue):
-        return {
-            "elems": [encode_atom(e) for e in sorted(v.elems, key=sort_key)],
-            "fixed": v.fixed,
-        }
-    if isinstance(v, SingletonNat):
-        return {"value": v.value, "fixed": v.fixed}
-    if isinstance(v, NestedSeqValue):
-        return {
-            "terminated": v.terminated,
-            "tuples": [[encode_value(c) for c in tup] for tup in v.tuples],
-        }
-    raise FloError(f"cannot encode {v!r}")
+    try:
+        lang = LANGUAGES[v.lang]
+    except (AttributeError, KeyError):
+        raise FloError(f"cannot encode {v!r}") from None
+    return lang.to_json(v)
 
 
 def decode_value(j, tag: Tag):
+    lang = LANGUAGES.get(tag.language)
+    if lang is None:
+        raise ParseError(f"no decoder for collection type {tag}")
     try:
-        if tag.language == "seq":
-            return SeqValue(bool(j.get("terminated", False)), tuple(decode_atom(i) for i in j.get("items", [])))
-        if tag.language == "lvar":
-            return LVarValue(j.get("lattice", tag.params[0]), decode_atom(j["value"]), bool(j.get("fixed", False)))
-        if tag.language == "zset":
-            cards = {_key_from_str(k): int(c) for k, c in j.get("cards", {}).items()}
-            return zset(cards, bool(j.get("fixed", False)))
-        if tag.language == "set":
-            return SetValue(frozenset(decode_atom(e) for e in j.get("elems", [])), bool(j.get("fixed", False)))
-        if tag.language == "nat":
-            return SingletonNat(j.get("value"), bool(j.get("fixed", False)))
-        if tag.language == "nested":
-            tuples = tuple(
-                tuple(decode_value(c, st.collection) for c, st in zip(tup, tag.params))
-                for tup in j.get("tuples", [])
-            )
-            return NestedSeqValue(bool(j.get("terminated", False)), tuples, tag.params)
+        return lang.from_json(j, tag)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"bad value for {tag}: {exc}") from exc
-    raise ParseError(f"no decoder for collection type {tag}")
 
 
 # ---------------------------------------------------------------------------

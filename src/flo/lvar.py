@@ -14,6 +14,8 @@ admits exactly one threshold.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .core import (
     ANY,
     B,
@@ -34,6 +36,9 @@ from .core import (
     Tag,
     ThresholdsNotIncompatible,
     U,
+    decode_atom,
+    draw_fixed,
+    encode_atom,
     record,
     register_language,
 )
@@ -66,6 +71,10 @@ class Lattice:
         """Whether a common upper bound exists. Total joins make this True."""
         return True
 
+    def sample(self, rng):
+        """A seeded random point."""
+        raise NotImplementedError
+
 
 class MaxNat(Lattice):
     id = "max_nat"
@@ -81,6 +90,9 @@ class MaxNat(Lattice):
     def member(self, x):
         return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
+    def sample(self, rng):
+        return rng.randint(0, 20)
+
 
 class SetUnion(Lattice):
     id = "set_union"
@@ -95,6 +107,9 @@ class SetUnion(Lattice):
 
     def member(self, x):
         return isinstance(x, frozenset)
+
+    def sample(self, rng):
+        return frozenset(rng.randint(0, 6) for _ in range(rng.randint(0, 3)))
 
 
 class Product(Lattice):
@@ -118,6 +133,9 @@ class Product(Lattice):
             and self.left.member(x[0])
             and self.right.member(x[1])
         )
+
+    def sample(self, rng):
+        return (self.left.sample(rng), self.right.sample(rng))
 
 
 LATTICES: dict[str, Lattice] = {}
@@ -171,9 +189,6 @@ class LVarLanguage(CollectionLanguage):
             return LVarValue(value.lattice, joined, d.fixed)
         raise PayloadShapeMismatch(f"lvar cannot absorb {delta!r}")
 
-    def is_fixed(self, value):
-        return value.fixed
-
     def fix(self, value):
         return LVarValue(value.lattice, value.value, True)
 
@@ -183,12 +198,28 @@ class LVarLanguage(CollectionLanguage):
     def bottom_of(self, value):
         return LVarValue(value.lattice, lattice(value.lattice).bottom, False)
 
+    def to_json(self, value):
+        return {"lattice": value.lattice, "value": encode_atom(value.value), "fixed": value.fixed}
+
+    def from_json(self, j, tag):
+        return LVarValue(j.get("lattice", tag.params[0]), decode_atom(j["value"]), bool(j.get("fixed", False)))
+
+    def sample(self, tag, rng, fixed):
+        lat = lattice(tag.params[0])
+        point = lat.bottom
+        for _ in range(rng.randint(0, 3)):
+            point = lat.join(point, lat.sample(rng))
+        return LVarValue(tag.params[0], point, draw_fixed(rng, fixed))
+
+    def sample_payload(self, tag, rng, current):
+        return LVarValue(tag.params[0], lattice(tag.params[0]).sample(rng), rng.random() < 0.15)
+
     def content_size(self, value):
         return 0
 
-    # A lattice point has no meaningful split; only the whole value, once
-    # fixed, can leave the loop.
-    whole_drain_requires_fixed = True
+    def split_all(self, value):
+        # A lattice point has no meaningful split: it leaves whole, once fixed.
+        return (value, self.bottom_of(value)) if value.fixed else (None, value)
 
 
 LVAR = register_language(LVarLanguage())
@@ -364,13 +395,4 @@ def to_sequence_naive(lattice_id: str, bound: Bound = U) -> OperatorDef:
 
 def to_sequence_unbounded(lattice_id: str) -> OperatorDef:
     """Negative fixture: the guarded read mistyped as unbounded-capable."""
-    op = to_sequence(lattice_id, _bound=U)
-    return OperatorDef(
-        name="to_sequence_unbounded",
-        inputs=op.inputs,
-        outputs=op.outputs,
-        initial_state=op.initial_state,
-        steps_fn=op.steps_fn,
-        rank_fn=op.rank_fn,
-        params={"lattice": lattice_id},
-    )
+    return replace(to_sequence(lattice_id, _bound=U), name="to_sequence_unbounded")

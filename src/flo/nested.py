@@ -45,12 +45,14 @@ from .core import (
     U,
     bottom,
     concat,
+    draw_fixed,
     fix,
     is_fixed,
     member,
     record,
     register_language,
 )
+from . import gen, jsonio
 from .graph import (
     DeferContexts,
     FlatGraph,
@@ -155,6 +157,53 @@ class NestedLanguage(CollectionLanguage):
     def bottom_of(self, value):
         return NestedSeqValue(False, (), value.inner_types)
 
+    # Components go through ``jsonio``/``gen`` attributes, so wrappers on those count each.
+    def to_json(self, value):
+        tuples = [[jsonio.encode_value(c) for c in tup] for tup in value.tuples]
+        return {"terminated": value.terminated, "tuples": tuples}
+
+    def from_json(self, j, tag):
+        tuples = tuple(
+            tuple(jsonio.decode_value(c, st.collection) for c, st in zip(tup, tag.params))
+            for tup in j.get("tuples", [])
+        )
+        return NestedSeqValue(bool(j.get("terminated", False)), tuples, tag.params)
+
+    def sample(self, tag, rng, fixed):
+        n = rng.randint(0, 3)
+        terminated = draw_fixed(rng, fixed, p=0.25)
+        # Tuple 0 is the newest; the others, and all once terminated, are closed.
+        tuples = tuple(
+            tuple(
+                gen.gen_value(st.collection, rng, fixed=True if st.bound is B and (i > 0 or terminated) else None)
+                for st in tag.params
+            )
+            for i in range(n)
+        )
+        return NestedSeqValue(terminated, tuples, tuple(tag.params))
+
+    def sample_delta(self, tag, rng, current, roll):
+        inner = tag.params
+        closable = not current.tuples or all(
+            st.bound is not B or is_fixed(c) for st, c in zip(inner, current.tuples[0])
+        )
+        pick = rng.choice(["extend", "push", "term"] if closable else ["extend"])
+        if pick == "term":
+            return TERMINATOR
+        if pick == "push":
+            return Push(tuple(
+                gen.gen_value(st.collection, rng, fixed=True if st.bound is B else None)
+                for st in inner
+            ))
+        if not current.tuples:
+            return EMPTY
+        # Component terminators could strand siblings unfixed only at the
+        # value level, which the membership rules allow for the newest tuple.
+        return Extend(tuple(
+            gen.gen_delta(st.collection, rng, c) if rng.random() < 0.7 else EMPTY
+            for st, c in zip(inner, current.tuples[0])
+        ))
+
     def content_size(self, value):
         return len(value.tuples)
 
@@ -223,10 +272,7 @@ def read_defer(key: str, tag: Tag, init=None) -> OperatorDef:
     def steps(buffers, state, exhaustive):
         if state.pending is None:
             return []
-        from .core import language_of
-
-        delta = language_of(state.pending).value_delta(state.pending)
-        return [StepResult(buffers, ReadDeferState(None), (delta,), "read-defer-emit")]
+        return [StepResult(buffers, ReadDeferState(None), (Payload(state.pending),), "read-defer-emit")]
 
     def rank(buffers, state):
         return Rank((0 if state.pending is None else 1,))

@@ -14,6 +14,7 @@ stream the graph emitted.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -48,66 +49,42 @@ SAFETY_CAP = 200_000
 # schedules
 
 
+# A schedule makes the picker that drives a run: ``picker()`` returns a
+# fresh callable ``pick(n)``, the protocol of ``graph.trajectory``. Given
+# the number of enabled steps, it returns the index of one in
+# ``enabled_steps`` order, or None to stop, and the run raises
+# InvalidChoice for an index outside ``[0, n)``. A picker keeps its own
+# position across iterations.
+
+
 @dataclass(frozen=True)
 class RoundRobin:
-    pass
+    def picker(self):
+        turn = itertools.count()
+        return lambda n: next(turn) % n
 
 
 @dataclass(frozen=True)
 class RandomSched:
     seed: int
 
+    def picker(self):
+        return random.Random(self.seed).randrange
+
 
 @dataclass(frozen=True)
 class Scripted:
     choices: tuple  # of step indices, each into the steps enabled when it is taken
 
-
-# Pickers are called as ``picker(n)``, the protocol of ``graph.trajectory``:
-# given the number of enabled steps, they return the index of one in
-# ``enabled_steps`` order, or None to stop, and the run raises InvalidChoice
-# for an index outside ``[0, n)``. They keep their own position across
-# iterations.
-
-
-class _RoundRobinPicker:
-    def __init__(self):
-        self.counter = 0
-
-    def __call__(self, n):
-        k = self.counter % n
-        self.counter += 1
-        return k
-
-
-class _RandomPicker:
-    def __init__(self, seed):
-        self.rng = random.Random(seed)
-
-    def __call__(self, n):
-        return self.rng.randrange(n)
-
-
-class _ScriptedPicker:
-    def __init__(self, script):
-        self.script = list(script)
-        self.pos = 0
-
-    def __call__(self, n):
-        if self.pos >= len(self.script):
-            return None
-        self.pos += 1
-        return self.script[self.pos - 1]
+    def picker(self):
+        script = iter(self.choices)
+        return lambda n: next(script, None)
 
 
 def make_picker(sched):
-    if isinstance(sched, RoundRobin):
-        return _RoundRobinPicker()
-    if isinstance(sched, RandomSched):
-        return _RandomPicker(sched.seed)
-    if isinstance(sched, Scripted):
-        return _ScriptedPicker(sched.choices)
-    raise FloError(f"schedule {sched!r} cannot drive a linear run")
+    if not hasattr(sched, "picker"):
+        raise FloError(f"schedule {sched!r} cannot drive a linear run")
+    return sched.picker()
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +117,6 @@ def drain_value(value, policy, rng: Optional[random.Random]):
     if isinstance(policy, DrainNone):
         return None, value
     if isinstance(policy, DrainAll):
-        if lang.whole_drain_requires_fixed and not lang.is_fixed(value):
-            return None, value
         return lang.split_all(value)
     if isinstance(policy, DrainPrefix):
         return lang.split_prefix(value, policy.n)

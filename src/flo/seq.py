@@ -48,6 +48,10 @@ from .core import (
     StreamType,
     Tag,
     U,
+    decode_atom,
+    draw_fixed,
+    encode_atom,
+    gen_atom,
     record,
     register_language,
 )
@@ -104,6 +108,20 @@ class SeqLanguage(CollectionLanguage):
 
     def bottom_of(self, value):
         return SeqValue(False, ())
+
+    def to_json(self, value):
+        return {"terminated": value.terminated, "items": [encode_atom(i) for i in value.items]}
+
+    def from_json(self, j, tag):
+        return SeqValue(bool(j.get("terminated", False)), tuple(decode_atom(i) for i in j.get("items", [])))
+
+    def sample(self, tag, rng, fixed):
+        items = tuple(gen_atom(tag.params[0], rng) for _ in range(rng.randint(0, 4)))
+        return SeqValue(draw_fixed(rng, fixed), items)
+
+    def sample_payload(self, tag, rng, current):
+        items = tuple(gen_atom(tag.params[0], rng) for _ in range(rng.randint(1, 3)))
+        return SeqValue(rng.random() < 0.2, items)
 
     supports_take = True
 
@@ -184,9 +202,6 @@ class NatLanguage(CollectionLanguage):
             return SingletonNat(merged, value.fixed or d.fixed)
         raise PayloadShapeMismatch(f"nat singleton cannot absorb {delta!r}")
 
-    def is_fixed(self, value):
-        return value.fixed
-
     def fix(self, value):
         return SingletonNat(value.value, True)
 
@@ -195,6 +210,20 @@ class NatLanguage(CollectionLanguage):
 
     def bottom_of(self, value):
         return SingletonNat(None, False)
+
+    def to_json(self, value):
+        return {"value": value.value, "fixed": value.fixed}
+
+    def from_json(self, j, tag):
+        return SingletonNat(j.get("value"), bool(j.get("fixed", False)))
+
+    def sample(self, tag, rng, fixed):
+        value = None if rng.random() < 0.3 else rng.randint(0, 3)
+        return SingletonNat(value, draw_fixed(rng, fixed))
+
+    def sample_payload(self, tag, rng, current):
+        held = getattr(current, "value", None)
+        return SingletonNat(held if held is not None else rng.randint(0, 3), rng.random() < 0.3)
 
     supports_take = True
 
@@ -211,7 +240,9 @@ class NatLanguage(CollectionLanguage):
     def content_size(self, value):
         return 0 if value.value is None else 1
 
-    whole_drain_requires_fixed = True
+    def split_all(self, value):
+        # A one-shot singleton leaves the loop whole, once it is fixed.
+        return (value, self.bottom_of(value)) if value.fixed else (None, value)
 
 
 NATLANG = register_language(NatLanguage())

@@ -32,6 +32,10 @@ from .core import (
     Tag,
     U,
     bottom,
+    decode_atom,
+    draw_fixed,
+    encode_atom,
+    gen_atom,
     is_fixed,
     memo,
     pair,
@@ -93,9 +97,6 @@ class SetLanguage(CollectionLanguage):
             return out if value.elems else _carry(out, d)
         raise PayloadShapeMismatch(f"set cannot absorb {delta!r}")
 
-    def is_fixed(self, value):
-        return value.fixed
-
     def fix(self, value):
         return _carry(SetValue(value.elems, True), value)
 
@@ -104,6 +105,20 @@ class SetLanguage(CollectionLanguage):
 
     def bottom_of(self, value):
         return SetValue(frozenset(), False)
+
+    def to_json(self, value):
+        return {"elems": [encode_atom(e) for e in sorted(value.elems, key=sort_key)], "fixed": value.fixed}
+
+    def from_json(self, j, tag):
+        return SetValue(frozenset(decode_atom(e) for e in j.get("elems", [])), bool(j.get("fixed", False)))
+
+    def sample(self, tag, rng, fixed):
+        elems = frozenset(gen_atom(tag.params[0], rng) for _ in range(rng.randint(0, 4)))
+        return SetValue(elems, draw_fixed(rng, fixed))
+
+    def sample_payload(self, tag, rng, current):
+        elems = frozenset(gen_atom(tag.params[0], rng) for _ in range(rng.randint(1, 3)))
+        return SetValue(elems, rng.random() < 0.15)
 
     supports_take = True
 

@@ -10,6 +10,7 @@ product, storing consumed input on each side.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from itertools import chain
 
@@ -29,6 +30,9 @@ from .core import (
     TERMINATOR,
     Tag,
     U,
+    decode_atom,
+    draw_fixed,
+    encode_atom,
     record,
     register_language,
     sort_key,
@@ -121,9 +125,6 @@ class ZSetLanguage(CollectionLanguage):
             return ZSetValue(merge_cards(value.cards, delta.value.cards), delta.value.fixed)
         raise PayloadShapeMismatch(f"zset cannot absorb {delta!r}")
 
-    def is_fixed(self, value):
-        return value.fixed
-
     def fix(self, value):
         return ZSetValue(value.cards, True)
 
@@ -132,6 +133,22 @@ class ZSetLanguage(CollectionLanguage):
 
     def bottom_of(self, value):
         return ZSetValue((), False)
+
+    def to_json(self, value):
+        return {"cards": {_key_str(k): c for k, c in value.cards}, "fixed": value.fixed}
+
+    def from_json(self, j, tag):
+        cards = {_key_from_str(k): int(c) for k, c in j.get("cards", {}).items()}
+        return zset(cards, bool(j.get("fixed", False)))
+
+    def sample(self, tag, rng, fixed):
+        keys = rng.sample(range(8), rng.randint(0, 5))
+        cards = {k: rng.choice([-3, -2, -1, 1, 2, 3]) for k in keys}
+        return zset(cards, draw_fixed(rng, fixed))
+
+    def sample_payload(self, tag, rng, current):
+        keys = rng.sample(range(8), rng.randint(1, 3))
+        return zset({k: rng.choice([-2, -1, 1, 2]) for k in keys}, rng.random() < 0.15)
 
     supports_take = True
 
@@ -152,6 +169,20 @@ class ZSetLanguage(CollectionLanguage):
 
 
 ZSET = register_language(ZSetLanguage())
+
+
+def _key_str(k) -> str:
+    """A key as a JSON object key: a string as itself, else its atom's JSON."""
+    if isinstance(k, str):
+        return k
+    return json.dumps(encode_atom(k))
+
+
+def _key_from_str(s: str):
+    try:
+        return decode_atom(json.loads(s))
+    except (json.JSONDecodeError, ValueError):
+        return s
 
 
 def zset_tag(key_type: ElemType = ANY) -> Tag:

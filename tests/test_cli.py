@@ -337,3 +337,52 @@ def test_check_and_replay_fail_on_a_subject_that_never_gets_stuck(tmp_path, caps
     capsys.readouterr()
     assert main(["replay", str(cx)]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "Fail"
+
+
+def test_check_progress_rank_and_all_pass_on_map(capsys):
+    base = ["check", "--operator", "map", "--cases", "30"]
+    for prop, name in (("progress", "StreamingProgress"), ("rank", "RankDescent")):
+        assert main([*base, "--property", prop]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["property"], out["verdict"]) == (name, "Pass")
+    assert main([*base, "--property", "all"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["property"] for r in reports] == ["EagerExecution", "StreamingProgress", "RankDescent"]
+    assert all(r["verdict"] == "Pass" for r in reports)
+
+
+def _check_then_replay(tmp_path, capsys, subject, prop):
+    """The report of ``flo check SUBJECT --property PROP``, which must fail,
+    and the report of replaying its counterexample."""
+    cx = tmp_path / "cx.json"
+    assert main(["check", *subject, "--property", prop, "--cases", "50", "--counterexample", str(cx)]) == 1
+    checked = json.loads(capsys.readouterr().out)
+    assert main(["replay", str(cx)]) == 1
+    return checked, json.loads(capsys.readouterr().out)
+
+
+def test_replay_of_a_progress_counterexample(tmp_path, capsys):
+    checked, replayed = _check_then_replay(tmp_path, capsys, ["--operator", "fold_unbounded"], "progress")
+    assert checked["property"] == replayed["property"] == "StreamingProgress"
+    assert replayed["verdict"] == "Fail" and replayed["replayed"] is True
+    assert replayed["details"] == checked["details"]
+
+
+def test_replay_of_a_rank_counterexample(tmp_path, capsys):
+    checked, replayed = _check_then_replay(tmp_path, capsys, ["--operator", "constant_rank"], "rank")
+    assert checked["property"] == replayed["property"] == "RankDescent"
+    assert replayed["verdict"] == "Fail" and replayed["operator"] == "constant_rank"
+
+
+def test_replay_of_a_graph_counterexample(tmp_path, capsys):
+    graph = {
+        "seq": [
+            {"op": {"name": "map", "params": {"fn": "inc", "elem": "int", "elem_out": "int", "bound": "U"}}},
+            {"op": {"name": "constant_rank", "params": {"elem": "int"}}},
+        ]
+    }
+    g = write(tmp_path, "g.json", graph)
+    checked, replayed = _check_then_replay(tmp_path, capsys, [g], "rank")
+    assert "operator" not in replayed
+    assert replayed["graph"] == checked["graph"]
+    assert replayed["property"] == "RankDescent" and replayed["verdict"] == "Fail"

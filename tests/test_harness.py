@@ -308,3 +308,63 @@ def test_lasso_schedule_reaches_a_configuration_its_cycle_returns_to():
     start = (set_inputs(g, (seq(1, 2),)), tuple(bottom(st.collection) for st in out_types(g)))
     entry = _replay_labels(*start, cx["schedule"])
     assert _replay_labels(*entry, cx["cycle"]) == entry
+
+
+def _seq_operator(name, elem_out, on_item, bound):
+    """An inline (seq<int>,bound) -> (seq<elem_out>,bound) operator that
+    emits ``on_item(x)`` per item and never emits the terminator."""
+    from flo.core import OperatorDef, Rank, StepResult, StreamType
+    from flo.seq import SEQ, seq_tag
+
+    def steps(buffers, state, exhaustive):
+        taken = SEQ.take_oldest(buffers[0])
+        if taken is None:
+            return []
+        x, rest = taken
+        return [StepResult((rest,), state, (Payload(SeqValue(False, (on_item(x),))),), name)]
+
+    def rank(buffers, state):
+        return Rank((SEQ.content_size(buffers[0]),))
+
+    ins, outs = (StreamType(seq_tag(INT), bound),), (StreamType(seq_tag(elem_out), bound),)
+    return OperatorDef(name, ins, outs, None, steps, rank)
+
+
+def test_progress_fails_when_a_bounded_output_is_unfixed_at_stuck():
+    from flo.core import B
+
+    op = _seq_operator("drop_terminator", INT, lambda x: x, B)
+    report = check_progress(op, [OpCase(buffers=(seq(1, 2, terminated=True),))])
+    assert not report.passed
+    assert report.details["reason"] == "bounded output not fixed at stuck state"
+    assert report.counterexample["unfixed_output"] == seq(1, 2)
+    assert report.counterexample["port_type"] == op.outputs[0]
+
+
+def test_rank_check_fails_when_an_output_leaves_its_type():
+    from flo.core import NAT, U
+
+    op = _seq_operator("minus_ten", NAT, lambda x: x - 10, U)
+    report = check_rank_and_preservation(op, [OpCase(buffers=(seq(3),))])
+    assert (report.prop, report.verdict) == ("Preservation", "Fail")
+    assert report.details["reason"] == "output left its collection type"
+    assert report.counterexample["output"] == seq(-7)
+
+
+def test_sampled_determinism_fail_names_the_two_sampled_runs():
+    from flo.graph import run_to_stuck
+    from flo.scheduler import RandomSched, make_picker
+
+    op, inputs = REGISTRY["coin"].op_eager, (seq(1, 2),)
+    report = check_determinism(op, inputs, mode="sampled", samples=20, seed=4)
+    assert not report.passed
+    assert report.details["sampled"] == 20
+    cx = report.counterexample
+    assert cx["seed_a"] == 0 < cx["seed_b"] < 20 and cx["stuck_a"] != cx["stuck_b"]
+    # Each names the sample run that reached its stuck configuration.
+    rng = random.Random(4)
+    seeds = [rng.randrange(1 << 30) for _ in range(20)]
+    g, outs = set_inputs(node(op), inputs), (seq(),)
+    for which in ("a", "b"):
+        picker = make_picker(RandomSched(seeds[cx[f"seed_{which}"]]))
+        assert run_to_stuck(g, outs, picker, 10_000)[:2] == cx[f"stuck_{which}"]

@@ -307,7 +307,7 @@ class TestWindowedAggregation:
     def test_pipeline_satisfies_graph_level_properties(self):
         import random
 
-        from flo.gen import gen_atom
+        from flo.core import gen_atom
         from flo.harness import OpCase, check_eager, check_progress
         from flo.programs import window_fold_pipeline
         from flo.core import ElemType, NAT, Payload
