@@ -153,6 +153,10 @@ def cmd_replay(args) -> int:
         print("NotACounterexample: replay input is not a failing report", file=sys.stderr)
         return 2
     prop = data.get("property")
+    check = next((c for names, c in _CASE_CHECKS.values() if prop in names), None)
+    if check is None and prop != "Determinism":
+        print(f"NotACounterexample: unknown property {prop!r}", file=sys.stderr)
+        return 2
     if "operator" in data:
         subject = build_operator(data["operator"], data.get("params"))
         types = subject.inputs
@@ -178,7 +182,6 @@ def cmd_replay(args) -> int:
             ),
             presteps=case_j.get("presteps", 0),
         )
-        check = next((c for names, c in _CASE_CHECKS.values() if prop in names), _CASE_CHECKS["rank"][1])
         report = check(subject, [case], 0)
     subject_desc = {k: data[k] for k in ("operator", "params", "graph") if k in data}
     out = encode_report(report, subject_desc)

@@ -22,14 +22,20 @@ or an error prints them, and kept.
 A step replaces one node and concats each emitted delta straight into its
 destination. ``enabled_steps`` lists the steps and ``step_graph`` applies
 one, for the explorer. Every run goes through one stepping kernel,
-``_kernel``: ``run_steps``, ``trajectory``, and ``step_first``, the
-kernel's first step, for ``nest``'s one step at a time. A scheduler only
-decides which of the ``n`` enabled steps runs next, so a picker is
-``picker(n) -> index or None``, and the kernel keeps one step count per
-leaf, re-counting only the leaves a step touched. It holds the run's
-nodes in a list, resumes a picker-less scan at the leaf it last stepped,
-and builds a graph only when its caller needs one (``run_steps`` once
-per call, ``trajectory`` once per step). Evaluation is lazy: a leaf
+``_kernel``: ``run_steps`` and ``trajectory``. ``step_first``, for
+``nest``'s one step at a time, takes the kernel's first step through the
+kernel's own scan (``_scan``) and step (``_take``), without a generator.
+A scheduler only decides which of the ``n`` enabled steps runs next, so a
+picker is ``picker(n) -> index or None``, and the kernel keeps one step
+count per leaf, re-counting only the leaves a step touched. It holds the
+run's nodes in a list, resumes a picker-less scan at the leaf it last
+stepped, and builds a graph only when its caller needs one
+(``run_steps`` once per call, ``trajectory`` once per step). Across
+calls, a compiled graph carries a stuck-prefix hint: ``step_first``
+gives its result the stepped leaf, a picker-less scan starts there, and
+``set_inputs`` and ``nested.set_defer`` lower it to the first leaf they
+replace. So ``nest``'s inner steps resume where the last one stopped
+instead of rescanning from leaf 0. Evaluation is lazy: a leaf
 whose operator declares ``enabled_fn`` is counted without being
 evaluated, so a run evaluates only the leaf it steps. The kernel checks
 a count against the outcomes only there: a count that is too high raises
@@ -444,13 +450,18 @@ class FlatGraph:
 
     Two compiled graphs are equal when their shapes and nodes are; one
     hashes as its nodes, and prints as the tree it was compiled from.
+    ``hint`` is left out of all three: it is a number of leading leaves
+    known to be stuck in fast mode, so a picker-less scan may start there.
+    Stuckness is a function of the node, so the hint holds for as long as
+    those leaves are not replaced; 0, the default, is always safe.
     """
 
-    __slots__ = ("plan", "nodes")
+    __slots__ = ("plan", "nodes", "hint")
 
-    def __init__(self, plan: Plan, nodes: tuple):
+    def __init__(self, plan: Plan, nodes: tuple, hint: int = 0):
         self.plan = plan
         self.nodes = nodes
+        self.hint = hint
 
     def __eq__(self, other):
         if not isinstance(other, FlatGraph):
@@ -500,7 +511,8 @@ def inputs(e) -> tuple:
 def set_inputs(e, new: tuple) -> FlatGraph:
     """Replace the exterior buffers. Nothing is rebuilt for a buffer that is
     the same object as before, so untouched nodes come back as themselves
-    with their memo, and the graph itself when no buffer changed."""
+    with their memo, and the graph itself when no buffer changed. The
+    stuck-prefix hint drops to the first leaf replaced."""
     g = compile_graph(e)
     if len(new) != g.plan.n_in:
         raise ArityMismatch(f"{len(new)} values for {g.plan.n_in} inputs")
@@ -510,9 +522,9 @@ def set_inputs(e, new: tuple) -> FlatGraph:
         bufs = tuple(new[lo:hi])
         if not all(map(is_, bufs, n.buffers)):
             if nodes is None:
-                nodes = list(g.nodes)
+                nodes, hint = list(g.nodes), min(g.hint, i)
             nodes[i] = Node(bufs, n.op, n.state)
-    return g if nodes is None else FlatGraph(g.plan, tuple(nodes))
+    return g if nodes is None else FlatGraph(g.plan, tuple(nodes), hint)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +561,8 @@ def _outcomes(n: Node, exhaustive: bool) -> list:
 
 def _count(n: Node) -> int:
     """How many fast-mode steps ``n`` has: the outcomes the node keeps,
-    when it keeps them (``nest`` scans the same stuck inner leaves on
-    every inner step), else ``enabled_fn``'s answer, without evaluating,
+    when it keeps them (a stuck leaf that a later scan passes again is
+    not asked again), else ``enabled_fn``'s answer, without evaluating,
     for an operator that declares one."""
     out = n._fast
     if out is not None:
@@ -559,6 +571,29 @@ def _count(n: Node) -> int:
     if enabled is None:
         return len(_outcomes(n, False))
     return enabled(n.buffers, n.state)
+
+
+def _scan(nodes, i: int) -> tuple:
+    """(leaf, count) of the first leaf at or after ``i`` with a fast-mode
+    step, or (len(nodes), 0) when every one of them is stuck."""
+    n = len(nodes)
+    while i < n:
+        c = _count(nodes[i])
+        if c:
+            return i, c
+        i += 1
+    return n, 0
+
+
+def _take(plan: Plan, nodes: list, i: int, k: int, c: int) -> tuple:
+    """Take choice ``k`` of leaf ``i``, counted as having ``c`` fast-mode
+    steps: evaluate the leaf, check the count against its outcomes and
+    ``_advance``; returns (outcome, written)."""
+    rs = _outcomes(nodes[i], False)
+    if len(rs) != c:
+        raise FloError(f"{nodes[i].op.name}: enabled_fn counts {c} steps but steps_fn returned {len(rs)}")
+    r = rs[k]
+    return r, _advance(plan, nodes, i, r)
 
 
 def _advance(plan: Plan, nodes: list, i: int, r) -> tuple:
@@ -618,17 +653,23 @@ def step_graph(e, choice: StepChoice, exhaustive: bool = False):
 def step_first(e):
     """Fast path: apply the first enabled step in tree order, if any.
 
-    Returns (graph', deltas, choice) or None when stuck: the
-    kernel's first step, as ``trajectory(e, cap=1)`` yields it. It drives
-    the kernel itself, not through ``trajectory``, because ``nest`` calls
-    it once per inner step and a second generator per call shows on
-    nested workloads. Sound for any confluent graph; the explorer covers
-    the remaining schedules.
+    Returns (graph', deltas, choice) or None when stuck: the kernel's
+    first step, as ``trajectory(e, cap=1)`` yields it, taken through the
+    kernel's own ``_scan`` and ``_take`` without a generator, because
+    ``nest`` calls it once per inner step. The scan starts at the graph's
+    stuck-prefix hint, and the graph returned carries the stepped leaf as
+    its hint: the leaves before it were stuck and the step replaced none
+    of them. So a caller that steps the result again, as ``nest`` does,
+    resumes where the last step stopped. Sound for any confluent graph;
+    the explorer covers the remaining schedules.
     """
     g = compile_graph(e)
-    for nodes, i, _k, r, written in _kernel(g, None, 1):
-        return FlatGraph(g.plan, tuple(nodes)), _deltas(g.plan, i, r, written), StepChoice(i, 0)
-    return None
+    i, c = _scan(g.nodes, g.hint)
+    if not c:
+        return None
+    plan, nodes = g.plan, list(g.nodes)
+    r, written = _take(plan, nodes, i, 0, c)
+    return FlatGraph(plan, tuple(nodes), i), _deltas(plan, i, r, written), StepChoice(i, 0)
 
 
 def apply_outputs(outputs: tuple, deltas: tuple) -> tuple:
@@ -643,28 +684,26 @@ def _kernel(g: FlatGraph, picker: Optional[Callable], cap: Optional[int]):
     outputs. Leaves are counted with ``_count``, and only the stepped
     leaf is evaluated.
 
-    Without a picker it takes the first enabled step in tree order. A
-    step replaces only its leaf and the leaves its wires feed, which come
-    later in tree order, so every leaf before the stepped one is still
-    stuck and the next scan resumes there. With a picker it keeps one
-    step count per leaf and their total, and re-counts only the leaves
-    the step touched. ``picker(n)`` is given the number of enabled steps
-    and returns the index of one in ``enabled_steps`` order (by leaf, then
-    by choice), which the kernel finds by walking the counts, or None to
-    stop; an index outside ``[0, n)`` raises InvalidChoice.
+    Without a picker it takes the first enabled step in tree order,
+    scanning from the graph's stuck-prefix hint. A step replaces only its
+    leaf and the leaves its wires feed, which come later in tree order,
+    so every leaf before the stepped one is still stuck and the next scan
+    resumes there. ``step_first`` takes the same step through the same
+    ``_scan`` and ``_take``. With a picker it keeps one step count per
+    leaf and their total, and re-counts only the leaves the step touched.
+    ``picker(n)`` is given the number of enabled steps and returns the
+    index of one in ``enabled_steps`` order (by leaf, then by choice),
+    which the kernel finds by walking the counts, or None to stop; an
+    index outside ``[0, n)`` raises InvalidChoice.
     """
     plan, nodes = g.plan, list(g.nodes)
-    n, steps, i = len(nodes), 0, 0  # without a picker, every leaf before i is stuck
+    steps, i = 0, g.hint  # without a picker, every leaf before i is stuck
     counts = None if picker is None else [_count(nd) for nd in nodes]
     total = 0 if counts is None else sum(counts)
     while cap is None or steps < cap:
         if counts is None:
-            while i < n:
-                c = _count(nodes[i])
-                if c:
-                    break
-                i += 1
-            else:
+            i, c = _scan(nodes, i)
+            if not c:
                 return
             k = 0
         else:
@@ -678,11 +717,7 @@ def _kernel(g: FlatGraph, picker: Optional[Callable], cap: Optional[int]):
                 k -= counts[i]
                 i += 1
             c = counts[i]
-        rs = _outcomes(nodes[i], False)
-        if len(rs) != c:
-            raise FloError(f"{nodes[i].op.name}: enabled_fn counts {c} steps but steps_fn returned {len(rs)}")
-        r = rs[k]
-        written = _advance(plan, nodes, i, r)
+        r, written = _take(plan, nodes, i, k, c)
         if counts is not None:
             for j in plan.touched[i]:
                 c = _count(nodes[j])

@@ -17,6 +17,7 @@ accumulated buffer.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Optional
 
 from .core import (
@@ -323,7 +324,8 @@ def collect_defer(e) -> dict:
 
 def set_defer(e, values: dict) -> FlatGraph:
     """The graph with every read_defer's pending value replaced; other
-    nodes are kept as they are."""
+    nodes are kept as they are. The stuck-prefix hint drops to the first
+    read_defer leaf."""
     flat = compile_graph(e)
     if not flat.plan.reads:
         return flat
@@ -332,7 +334,7 @@ def set_defer(e, values: dict) -> FlatGraph:
         if key not in values:
             raise MissingKey(f"no deferred value for read_defer key {key!r}")
         nodes[i] = Node(nodes[i].buffers, nodes[i].op, ReadDeferState(values[key]))
-    return FlatGraph(flat.plan, tuple(nodes))
+    return FlatGraph(flat.plan, tuple(nodes), min(flat.hint, flat.plan.reads[0][1]))
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +402,26 @@ def make_nest(g, g_o=None, outer_bound: Bound = U) -> OperatorDef:
             return []
         if not v.tuples:
             return []
-        # Returns state.current itself while it still holds the oldest tuple,
-        # which run_graph below keeps true, so its nodes keep their outcomes.
+        # Returns state.current itself, with its stuck-prefix hint, while it
+        # still holds the oldest tuple, which run_graph below keeps true, so
+        # its nodes keep their outcomes and step_first resumes where the
+        # last inner step stopped.
         synced = set_inputs(state.current, v.tuples[-1])
 
         def run_graph(stepped, deltas):
+            # A step that consumed no input keeps the buffer object, and one
+            # that wrote no output keeps the outputs, so nothing is copied.
             consumed = inputs(stepped)
-            v2 = NestedSeqValue(v.terminated, v.tuples[:-1] + (consumed,), v.inner_types)
-            outs = tuple(concat(o, d) for o, d in zip(state.iter_outputs, deltas))
-            outer = EMPTY if all(d is EMPTY for d in deltas) else Extend(deltas)
-            return StepResult(
-                (v2,), NestState(RUNNING_PHASE, stepped, outs), (outer,), "nest-run-graph"
-            )
+            if all(map(is_, consumed, v.tuples[-1])):
+                bufs = buffers
+            else:
+                bufs = (NestedSeqValue(v.terminated, v.tuples[:-1] + (consumed,), v.inner_types),)
+            if deltas is stepped.plan.blank:
+                outs, outer = state.iter_outputs, EMPTY
+            else:
+                outs = tuple(concat(o, d) for o, d in zip(state.iter_outputs, deltas))
+                outer = Extend(deltas)
+            return StepResult(bufs, NestState(RUNNING_PHASE, stepped, outs), (outer,), "nest-run-graph")
 
         if exhaustive:
             stepped = [step_graph(synced, ch, True) for ch in enabled_steps(synced, True)]

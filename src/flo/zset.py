@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, product
 
 from .core import (
     ANY,
@@ -109,6 +109,25 @@ def join_cards(a: dict, b: dict) -> dict:
     return {k: a[k] * b[k] for k in a.keys() & b.keys() if a[k] * b[k] != 0}
 
 
+def _key_domain(elem: ElemType):
+    """The keys a z-set over ``elem`` draws from: ``range(8)`` for int,
+    nat and any, and members of the key type for the others."""
+    if elem.name == "bool":
+        return (False, True)
+    if elem.name == "str":
+        return tuple("abcdefgh")
+    if elem.name == "pair":
+        return tuple(product(_key_domain(elem.args[0]), _key_domain(elem.args[1])))
+    return range(8)
+
+
+def _draw_keys(tag: Tag, rng, n: int) -> list:
+    """Up to ``n`` distinct keys of the tag's key type (fewer only when
+    the domain is smaller), drawn as ``rng.sample`` draws them."""
+    domain = _key_domain(tag.params[0])
+    return rng.sample(domain, min(n, len(domain)))
+
+
 class ZSetLanguage(CollectionLanguage):
     name = "zset"
 
@@ -142,12 +161,12 @@ class ZSetLanguage(CollectionLanguage):
         return zset(cards, bool(j.get("fixed", False)))
 
     def sample(self, tag, rng, fixed):
-        keys = rng.sample(range(8), rng.randint(0, 5))
+        keys = _draw_keys(tag, rng, rng.randint(0, 5))
         cards = {k: rng.choice([-3, -2, -1, 1, 2, 3]) for k in keys}
         return zset(cards, draw_fixed(rng, fixed))
 
     def sample_payload(self, tag, rng, current):
-        keys = rng.sample(range(8), rng.randint(1, 3))
+        keys = _draw_keys(tag, rng, rng.randint(1, 3))
         return zset({k: rng.choice([-2, -1, 1, 2]) for k in keys}, rng.random() < 0.15)
 
     supports_take = True

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from flo.cli import main
 
 
@@ -177,6 +179,17 @@ class TestReplay:
         p = write(tmp_path, "pass.json", {"verdict": "Pass", "property": "EagerExecution"})
         assert main(["replay", p]) == 2
         assert "NotACounterexample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prop", [{"property": "EagerExecutoin"}, {}], ids=["misspelt", "missing"])
+    def test_replay_rejects_a_missing_or_unknown_property(self, tmp_path, capsys, prop):
+        # A failing report whose case would replay: only the property is wrong.
+        data = json.loads(self._failing_report(tmp_path, capsys).read_text())
+        del data["property"]
+        data.update(prop)
+        p = write(tmp_path, "bad.json", data)
+        assert main(["replay", p]) == 2
+        err = capsys.readouterr()
+        assert "NotACounterexample" in err.err and err.out == ""
 
     def test_replay_notes_when_fixed(self, tmp_path, capsys):
         # Re-point the recorded counterexample at the guarded operator: the

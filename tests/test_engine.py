@@ -1,5 +1,6 @@
 """The step engine: outcome reuse, the outcome memo, and what they must not change."""
 
+import inspect
 import time
 import tracemalloc
 from dataclasses import replace
@@ -9,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from flo import graph as graph_module
-from flo import scheduler
+from flo import programs, scheduler
 from flo.cli import main
 from flo.core import (
     ANY,
+    B,
     BOOL,
     INT,
     NAT,
@@ -41,6 +43,8 @@ from flo.graph import (
     compile_graph,
     enabled_steps,
     explore_all,
+    in_types,
+    inputs,
     node,
     out_types,
     run_steps,
@@ -52,6 +56,8 @@ from flo.graph import (
     trajectory,
 )
 from flo.harness import OpCase, check_determinism, check_rank_and_preservation
+from flo.nested import RUNNING_PHASE, NestedSeqValue, NestState, make_nest
+from flo.opcatalog import REGISTRY, cases_for, sample_cases
 from flo.programs import five_node_graph, reachability_dynamic
 from flo.scheduler import InputBatch, RandomSched, RoundRobin, TraceStep, run_trace
 from flo.seq import SeqValue, SingletonNat, forward, scan, seq, seq_filter, seq_map, seq_tag
@@ -255,6 +261,125 @@ def test_a_step_costs_about_the_same_on_long_and_short_chains():
     # Rescanning from leaf 0 cost 34.9 us per step at 800 leaves, 5.6 at 10.
     short, long = us_per_step(10, 40), us_per_step(800, 3)
     assert long < 2 * short, (short, long)
+
+
+# ---------------------------------------------------------------------------
+# the stuck-prefix hint: where step_first and a picker-less scan start
+
+
+PROGRAMS = {
+    programs.fold_pipeline: (),
+    programs.scan_pipeline: (),
+    programs.window_fold_pipeline: (2,),
+    programs.lattice_threshold_pipeline: (3,),
+    programs.zset_mix_pipeline: (),
+    programs.closure_step_graph: (0,),
+    programs.reachability_fixed: (0,),
+    programs.bootstrapped_closure_graph: (),
+    programs.query_graph: (0, 2),
+    programs.reachability_dynamic: (0, 2),
+    programs.five_node_graph: (),
+}
+
+
+def test_the_hint_table_has_every_program():
+    defined = {f for f in vars(programs).values() if inspect.isfunction(f) and f.__module__ == programs.__name__}
+    assert set(PROGRAMS) == defined
+
+
+def step_first_agrees_with_a_full_scan(g):
+    """``step_first(g)``, checked against the same graph with hint 0, and
+    likewise for the inner graph each running ``nest`` leaf steps next."""
+    for n in g.nodes:
+        s = n.state
+        if type(s) is NestState and s.phase == RUNNING_PHASE and n.buffers[0].tuples:
+            step_first_agrees_with_a_full_scan(set_inputs(s.current, n.buffers[0].tuples[-1]))
+    hit = step_first(g)
+    assert hit == step_first(FlatGraph(g.plan, g.nodes)), (g.hint, g)
+    return hit
+
+
+def step_to_stuck_agreeing(g, budget=5_000):
+    for _ in range(budget):
+        hit = step_first_agrees_with_a_full_scan(g)
+        if hit is None:
+            return g
+        g = hit[0]
+    raise AssertionError(f"not stuck after {budget} steps")
+
+
+def assert_hint_sound(g, case):
+    """Step ``g`` fed the case's buffers to stuck, then feed it the case's
+    delta, which lands behind a hint (a ``nest``'s too), and step it to
+    stuck again."""
+    g = step_to_stuck_agreeing(set_inputs(g, case.buffers))
+    if case.delta:
+        step_to_stuck_agreeing(set_inputs(g, apply_outputs(inputs(g), case.delta)))
+
+
+@pytest.mark.parametrize("make", list(PROGRAMS), ids=lambda f: f.__name__)
+def test_the_hint_is_sound_on_every_program(make):
+    g = compile_graph(make(*PROGRAMS[make]))
+    for kind in ("eager", "progress"):
+        for case in sample_cases(in_types(g), kind, 8, seed=21):
+            assert_hint_sound(g, case)
+
+
+def test_the_hint_is_sound_on_the_registry_nest():
+    entry = REGISTRY["nest"]
+    for kind in ("eager", "progress"):
+        for case in cases_for(entry, kind, 40, seed=21):
+            assert_hint_sound(compile_graph(node(entry.op_eager)), case)
+
+
+def test_the_hint_is_left_out_of_equality_hash_and_repr():
+    g = set_inputs(map_filter_scan(), (seq(1, 2),))
+    hinted = FlatGraph(g.plan, g.nodes, 2)
+    assert hinted == g and hash(hinted) == hash(g) and repr(hinted) == repr(g)
+    assert len({g, hinted}) == 1
+
+
+def test_step_first_hints_the_stepped_leaf_and_set_inputs_lowers_the_hint():
+    g = set_inputs(map_filter_scan(), (seq(1, 2),))
+    stepped = []
+    while (hit := step_first(g)) is not None:
+        g, _, choice = hit
+        stepped.append((g.hint, choice.leaf))
+    assert stepped == [(0, 0), (0, 0), (1, 1), (1, 1), (2, 2)]
+    assert set_inputs(g, inputs(g)) is g
+    assert set_inputs(g, (seq(7),)).hint == 0
+
+
+def forward_chain_nest(n):
+    """``nest`` over a chain of ``n`` bounded ``forward``s behind its one input,
+    fed one tuple of five items, and the outputs to run it into."""
+    inner = seq_chain(*(node(forward(seq_tag(INT), B)) for _ in range(n)))
+    op = make_nest(inner)
+    fed = NestedSeqValue(True, ((seq(*range(5), terminated=True),),), op.inputs[0].collection.params)
+    return node(op, (fed,)), (bottom(op.outputs[0].collection),)
+
+
+def test_a_nest_step_counts_a_bounded_number_of_leaves_on_a_long_inner_chain(monkeypatch):
+    # Each inner step rescanned the chain from leaf 0, which made about
+    # n / 2 counts per outer step.
+    calls = {"n": 0}
+    original = graph_module._count
+
+    def counting(n):
+        calls["n"] += 1
+        return original(n)
+
+    monkeypatch.setattr(graph_module, "_count", counting)
+
+    def counts_per_step(n):
+        g, outs = forward_chain_nest(n)
+        calls["n"] = 0
+        _, outs, steps = run_to_stuck(g, outs, budget=100_000)
+        assert outs[0].terminated and steps > n
+        return calls["n"] / steps
+
+    short, long = counts_per_step(10), counts_per_step(200)
+    assert long <= short * 1.1, (short, long)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from conftest import bfs_closure, run_graph, run_op
 from flo.core import (
     B,
     BoundednessInvariantViolation,
+    EMPTY,
     Extend,
     INT,
     Payload,
@@ -18,7 +19,7 @@ from flo.core import (
     is_fixed,
     member,
 )
-from flo.graph import Par, node, seq_chain
+from flo.graph import FlatGraph, Par, compile_graph, node, seq_chain, step_first
 from flo.nested import (
     NestedSeqValue,
     collect_defer,
@@ -102,6 +103,12 @@ class TestDeferPlumbing:
         rd = node(read_defer("k", t, sset((0,), fixed=True)))
         g2 = set_defer(rd, {"k": sset((0, 1), fixed=True)})
         assert g2.nodes[0].state.pending == sset((0, 1), fixed=True)
+
+    def test_set_defer_lowers_the_hint_to_the_first_read_defer(self):
+        t = set_tag(INT)
+        g = compile_graph(seq_chain(node(forward(t, B)), Par(node(read_defer("k", t)), node(forward(t, B)))))
+        g2 = set_defer(FlatGraph(g.plan, g.nodes, 3), {"k": sset((1,), fixed=True)})
+        assert g2.hint == 1
 
     def test_set_defer_leaves_other_nodes(self):
         from flo.graph import compile_graph
@@ -189,6 +196,18 @@ class TestNestRuns:
         assert not out.terminated
         # fold holds its sum until the inner stream terminates
         assert out.tuples == ((SeqValue(False, ()),),)
+
+    def test_an_inner_step_that_consumes_and_emits_nothing_keeps_buffer_and_outputs(self):
+        fwd = lambda: node(forward(seq_tag(INT), B))
+        op = make_nest(seq_chain(fwd(), fwd(), fwd()))
+        g = compile_graph(node(op, (nv(((SeqValue(True, (2, 1)),),)),)))
+        for _ in range(3):  # start the iteration; the input leaf forwards its items, then its end
+            g = step_first(g)[0]
+        n = g.nodes[0]
+        (r,) = op.steps(n.buffers, n.state)
+        assert r.state.current.hint == 1  # the middle forward stepped
+        assert r.buffers[0] is n.buffers[0] and r.state.iter_outputs is n.state.iter_outputs
+        assert r.deltas == (EMPTY,)
 
 
 class TestNestRank:
