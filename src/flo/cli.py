@@ -169,7 +169,12 @@ def cmd_replay(args) -> int:
 
     if prop == "Determinism":
         ins = _decode_inputs(data["inputs"], types)
-        report = check_determinism(subject, ins, mode="exhaustive", max_configs=args.max_configs)
+        info = data.get("info", {})
+        if "seed_a" in info and "seed_b" in info:
+            # A sampled Fail: re-run the two seeded runs that disagreed.
+            report = check_determinism(subject, ins, mode="sampled", seeds=(info["seed_a"], info["seed_b"]))
+        else:
+            report = check_determinism(subject, ins, mode="exhaustive", max_configs=args.max_configs)
     else:
         case_j = data.get("case")
         if case_j is None:

@@ -493,7 +493,8 @@ class CollectionLanguage:
     # Content consumption: used by pass-through operators (tee, forward,
     # zip) that stream a buffer onward. Returns (delta, residue) where the
     # delta carries all current content without fixedness and the residue
-    # keeps the buffer's fixedness flag, or None if there is no content.
+    # keeps the buffer's fixedness flag, or None if there is no content,
+    # which is exactly when ``content_size`` is 0.
     supports_take = False
 
     def take_content(self, value):
@@ -504,16 +505,19 @@ class CollectionLanguage:
 
     # ``last``: the final value of a bounded stream, released once the input
     # fixes. ``last_output(tag)`` is the output's collection tag, or None if
-    # the language has no last value. ``last_observe(latest, value)`` folds
-    # the buffer's observable content into what was kept so far (NOTHING
-    # before anything was seen) and returns (latest, residue), or None when
-    # there is nothing to observe yet. ``last_emit(latest, tag)`` is the one
-    # fixed delta released at the end.
+    # the language has no last value. ``last_ready(value)`` is whether the
+    # buffer holds content to observe; ``last_observe(latest, value)``,
+    # called only then, folds it into what was kept so far (NOTHING before
+    # anything was seen) and returns (latest, residue). ``last_emit(latest,
+    # tag)`` is the one fixed delta released at the end.
     def last_output(self, tag: Tag):
         return None
 
+    def last_ready(self, value) -> bool:
+        return self.content_size(value) > 0
+
     def last_observe(self, latest, value):
-        return None
+        raise NotImplementedError
 
     def last_emit(self, latest, tag: Tag):
         raise NotImplementedError

@@ -227,12 +227,16 @@ def check_determinism(
     samples: int = 20,
     seed: int = 0,
     budget: int = 10_000,
+    seeds: Optional[tuple] = None,
 ) -> PropertyReport:
     """All schedules from one configuration reach one stuck configuration.
 
     The subject is an operator or a graph. ``mode`` is "exhaustive" or
     "sampled"; an exhaustive run that meets ``max_configs`` falls back to
-    sampling. Each sampled run is capped by ``budget`` steps and raises
+    sampling. Sampling makes one ``RandomSched`` run per seed in
+    ``seeds``, or ``samples`` runs whose seeds are drawn from ``seed``; a
+    Fail names the seeds of two runs that disagree as ``seed_a`` and
+    ``seed_b``. Each sampled run is capped by ``budget`` steps and raises
     StepBudgetExceeded beyond it. An exploration that ends uncapped with
     no stuck configuration fails with a lasso: the schedule to a
     configuration that repeats, and the cycle back to it.
@@ -267,26 +271,27 @@ def check_determinism(
                 details,
             )
         details = {"warning": f"exploration capped at {max_configs}; sampling instead"}
-    rng = random.Random(seed)
+    if seeds is None:
+        rng = random.Random(seed)
+        seeds = tuple(rng.randrange(1 << 30) for _ in range(samples))
     stucks = {}
-    for i in range(samples):
-        picker = make_picker(RandomSched(rng.randrange(1 << 30)))
-        cur_g, cur_o, _ = run_to_stuck(g, outs, picker, budget)
-        stucks.setdefault((cur_g, cur_o), i)
-    details["sampled"] = samples
+    for s in seeds:
+        cur_g, cur_o, _ = run_to_stuck(g, outs, make_picker(RandomSched(s)), budget)
+        stucks.setdefault((cur_g, cur_o), s)
+    details["sampled"] = len(seeds)
     if len(stucks) == 1:
-        return PropertyReport("Determinism", "Pass", samples, None, details)
-    (a, ia), (b2, ib) = list(stucks.items())[:2]
+        return PropertyReport("Determinism", "Pass", len(seeds), None, details)
+    (a, sa), (b2, sb) = list(stucks.items())[:2]
     return PropertyReport(
         "Determinism",
         "Fail",
-        samples,
+        len(seeds),
         {
             "inputs": case_inputs,
             "stuck_a": a,
             "stuck_b": b2,
-            "seed_a": ia,
-            "seed_b": ib,
+            "seed_a": sa,
+            "seed_b": sb,
         },
         details,
     )

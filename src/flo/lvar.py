@@ -308,6 +308,12 @@ def thresh(lattice_id: str, thresholds: tuple, bound: Bound = U) -> OperatorDef:
             ]
         return []
 
+    def enabled(buffers, state):
+        (inp,) = buffers
+        if state.phase == WATCHING:
+            return 1 if inp.fixed or reached(inp.value) is not None else 0
+        return 1 if state.phase == FIRED and inp.fixed else 0
+
     def rank(buffers, state):
         return Rank((state.phase,))
 
@@ -319,6 +325,7 @@ def thresh(lattice_id: str, thresholds: tuple, bound: Bound = U) -> OperatorDef:
         steps_fn=steps,
         rank_fn=rank,
         params={"lattice": lattice_id, "thresholds": list(thresholds), "bound": bound.value},
+        enabled_fn=enabled,
     )
 
 
@@ -343,6 +350,9 @@ def to_sequence(lattice_id: str, *, _bound: Bound = B) -> OperatorDef:
             ]
         return []
 
+    def enabled(buffers, state):
+        return 1 if buffers[0].fixed and not state.done else 0
+
     def rank(buffers, state):
         return Rank((0 if state.done else 1,))
 
@@ -354,6 +364,7 @@ def to_sequence(lattice_id: str, *, _bound: Bound = B) -> OperatorDef:
         steps_fn=steps,
         rank_fn=rank,
         params={"lattice": lattice_id},
+        enabled_fn=enabled,
     )
 
 
@@ -379,6 +390,9 @@ def to_sequence_naive(lattice_id: str, bound: Bound = U) -> OperatorDef:
             ]
         return []
 
+    def enabled(buffers, state):
+        return 0 if state.done else 1
+
     def rank(buffers, state):
         return Rank((0 if state.done else 1,))
 
@@ -390,6 +404,7 @@ def to_sequence_naive(lattice_id: str, bound: Bound = U) -> OperatorDef:
         steps_fn=steps,
         rank_fn=rank,
         params={"lattice": lattice_id, "bound": bound.value},
+        enabled_fn=enabled,
     )
 
 

@@ -213,11 +213,13 @@ class NestedLanguage(CollectionLanguage):
             raise FloError("last over nested streams requires a single inner component")
         return tag.params[0].collection
 
+    def last_ready(self, value):
+        # The oldest tuple is final once a newer one follows it or the stream ends.
+        return len(value.tuples) >= 2 or (value.terminated and bool(value.tuples))
+
     def last_observe(self, latest, value):
-        if len(value.tuples) >= 2 or (value.terminated and value.tuples):
-            rest = NestedSeqValue(value.terminated, value.tuples[:-1], value.inner_types)
-            return value.tuples[-1][0], rest
-        return None
+        rest = NestedSeqValue(value.terminated, value.tuples[:-1], value.inner_types)
+        return value.tuples[-1][0], rest
 
     def last_emit(self, latest, tag):
         if latest is NOTHING:
@@ -275,6 +277,9 @@ def read_defer(key: str, tag: Tag, init=None) -> OperatorDef:
             return []
         return [StepResult(buffers, ReadDeferState(None), (Payload(state.pending),), "read-defer-emit")]
 
+    def enabled(buffers, state):
+        return 0 if state.pending is None else 1
+
     def rank(buffers, state):
         return Rank((0 if state.pending is None else 1,))
 
@@ -287,6 +292,7 @@ def read_defer(key: str, tag: Tag, init=None) -> OperatorDef:
         rank_fn=rank,
         defer_reads=((key, tag),),
         params=params,
+        enabled_fn=enabled,
     )
 
 
@@ -308,6 +314,7 @@ def write_defer(key: str, tag: Tag) -> OperatorDef:
         rank_fn=rank,
         defer_writes=((key, tag),),
         params={"key": key, "tag": str(tag)},
+        enabled_fn=lambda buffers, state: 0,
     )
 
 

@@ -142,6 +142,9 @@ def coin(elem: ElemType = INT, bound: Bound = U) -> OperatorDef:
             StepResult((rest,), state, (Payload(SeqValue(False, (x + 100,))),), "coin-tails"),
         ]
 
+    def enabled(buffers, state):
+        return 2 if SEQ.content_size(buffers[0]) else 0
+
     def rank(buffers, state):
         return Rank((SEQ.content_size(buffers[0]),))
 
@@ -154,6 +157,7 @@ def coin(elem: ElemType = INT, bound: Bound = U) -> OperatorDef:
         steps_fn=steps,
         rank_fn=rank,
         params={"elem": str(elem)},
+        enabled_fn=enabled,
     )
 
 

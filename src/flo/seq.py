@@ -10,12 +10,19 @@ representation is a one-class decision.
 
 Operators come in skeletons. ``_per_item`` is the one shape of ``map``,
 ``filter``, ``scan``, ``fold`` and ``lvar.fold_lattice``: a step per
-consumed item, then one closing step once the input terminates. It also
-declares its step count (``enabled_fn``), so a run counts these leaves
-without evaluating them.
+consumed item, then one closing step once the input terminates.
 ``_pass_through`` is ``tee`` and ``forward``, which work over any
 collection language with content consumption (sequences, sets, z-sets,
 nat singletons), as does ``last``. ``window`` keeps its own step.
+
+Every operator here declares its step count (``enabled_fn``), so a run
+counts these leaves without evaluating them: ``_content_count`` for the
+two skeletons (and ``zset_map``), a few field reads of its own for
+``window`` and ``last``. Across the catalog only ``nest``, ``zip``,
+``repeat_nested`` and the ``constant_rank`` fixture are evaluated to be
+counted: ``nest``'s count is an inner step of its graph, a count for
+``zip`` or ``repeat_nested`` would restate their whole step, and
+``constant_rank`` is never stuck.
 
 Also home to the natural-number singleton used to parameterize repeated
 nesting.
@@ -145,9 +152,7 @@ class SeqLanguage(CollectionLanguage):
         return tag
 
     def last_observe(self, latest, value):
-        if value.items:
-            return value.items[0], SeqValue(value.terminated, ())
-        return None
+        return value.items[0], SeqValue(value.terminated, ())
 
     def last_emit(self, latest, tag):
         return Payload(SeqValue(True, () if latest is NOTHING else (latest,)))
@@ -285,6 +290,17 @@ def _content_rank(lang):
     return rank
 
 
+def _content_count(lang):
+    """``enabled_fn`` of a one-input operator that takes one step while its
+    buffer has content, else one closing step once the input is fixed."""
+
+    def enabled(buffers, state):
+        (inp,) = buffers
+        return 1 if lang.content_size(inp) or (lang.is_fixed(inp) and not state.done) else 0
+
+    return enabled
+
+
 # ---------------------------------------------------------------------------
 # per-item sequence operators: map / filter / scan / fold (and fold_lattice)
 
@@ -315,10 +331,6 @@ def _per_item(name, elem_in, out_tag, bound, initial, on_item, on_end, params, r
             return [StepResult(buffers, state2, (delta,), end_rule)]
         return []
 
-    def enabled(buffers, state):
-        (inp,) = buffers
-        return 1 if SEQ.content_size(inp) or (inp.terminated and not state.done) else 0
-
     return OperatorDef(
         name=name,
         inputs=(StreamType(seq_tag(elem_in), bound),),
@@ -327,7 +339,7 @@ def _per_item(name, elem_in, out_tag, bound, initial, on_item, on_end, params, r
         steps_fn=steps,
         rank_fn=_content_rank(SEQ),
         params=params,
-        enabled_fn=enabled,
+        enabled_fn=_content_count(SEQ),
     )
 
 
@@ -446,6 +458,10 @@ def window(interval: int, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef
             return [StepResult(buffers, WindowState((), True), (TERMINATOR,), "window-terminator")]
         return []
 
+    def enabled(buffers, state):
+        (inp,) = buffers
+        return 1 if SEQ.content_size(inp) or (inp.terminated and (state.buffer or not state.done)) else 0
+
     def rank(buffers, state):
         return Rank(
             (
@@ -463,6 +479,7 @@ def window(interval: int, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef
         rank_fn=rank,
         params={"interval": interval, "elem": str(elem), "bound": bound.value},
         rank_arity=2,
+        enabled_fn=enabled,
     )
 
 
@@ -506,6 +523,7 @@ def _pass_through(name: str, tag: Tag, bound: Bound, n_out: int) -> OperatorDef:
         steps_fn=steps,
         rank_fn=_content_rank(lang),
         params={"tag": str(tag), "bound": bound.value},
+        enabled_fn=_content_count(lang),
     )
 
 
@@ -535,14 +553,17 @@ def last(tag: Tag, *, _bound: Bound = B) -> OperatorDef:
 
     def steps(buffers, state, exhaustive):
         (inp,) = buffers
-        seen = lang.last_observe(state.latest, inp)
-        if seen is not None:
-            latest, residue = seen
+        if lang.last_ready(inp):
+            latest, residue = lang.last_observe(state.latest, inp)
             return [StepResult((residue,), LastState(latest, False), (EMPTY,), "last")]
         if lang.is_fixed(inp) and not state.done:
             emitted = lang.last_emit(state.latest, tag)
             return [StepResult(buffers, LastState(state.latest, True), (emitted,), "last-emit")]
         return []
+
+    def enabled(buffers, state):
+        (inp,) = buffers
+        return 1 if lang.last_ready(inp) or (lang.is_fixed(inp) and not state.done) else 0
 
     return OperatorDef(
         name="last",
@@ -552,4 +573,5 @@ def last(tag: Tag, *, _bound: Bound = B) -> OperatorDef:
         steps_fn=steps,
         rank_fn=_content_rank(lang),
         params={"tag": str(tag)},
+        enabled_fn=enabled,
     )

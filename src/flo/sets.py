@@ -135,10 +135,8 @@ class SetLanguage(CollectionLanguage):
         return tag
 
     def last_observe(self, latest, value):
-        if value.elems:
-            kept = frozenset() if latest is NOTHING else latest
-            return kept | value.elems, SetValue(frozenset(), value.fixed)
-        return None
+        kept = frozenset() if latest is NOTHING else latest
+        return kept | value.elems, SetValue(frozenset(), value.fixed)
 
     def last_emit(self, latest, tag):
         return Payload(SetValue(frozenset() if latest is NOTHING else latest, True))
@@ -192,6 +190,11 @@ def _drain_sides(name, elem, right_tag, bound, initial, on_left, on_right, on_en
             return [StepResult(buffers, on_end(state), (TERMINATOR,), end_rule)]
         return []
 
+    def enabled(buffers, state):
+        left, right = buffers
+        drains = (1 if left.elems else 0) + (1 if right.elems else 0)
+        return drains or (1 if left.fixed and right.fixed and not state.done else 0)
+
     def rank(buffers, state):
         return Rank((len(buffers[0].elems) + len(buffers[1].elems) + _flag(state.done),))
 
@@ -204,6 +207,7 @@ def _drain_sides(name, elem, right_tag, bound, initial, on_left, on_right, on_en
         steps_fn=steps,
         rank_fn=rank,
         params={"elem": str(elem), "bound": bound.value},
+        enabled_fn=enabled,
     )
 
 
@@ -499,6 +503,14 @@ def nest_once(tag: Tag, bound: Bound = B, limit: int = 0) -> OperatorDef:
             )
         ]
 
+    def enabled(buffers, state):
+        (inp,) = buffers
+        if state.done:
+            return 0
+        if not state.opened or state.closed_first or lang.content_size(inp):
+            return 1
+        return 1 if lang.is_fixed(inp) else 0
+
     def rank(buffers, state):
         (inp,) = buffers
         r = (0 if state.done else 1) + (0 if state.opened else 1)
@@ -515,4 +527,5 @@ def nest_once(tag: Tag, bound: Bound = B, limit: int = 0) -> OperatorDef:
         steps_fn=steps,
         rank_fn=rank,
         params={"tag": str(tag), "bound": bound.value, "limit": limit},
+        enabled_fn=enabled,
     )

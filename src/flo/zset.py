@@ -38,6 +38,7 @@ from .core import (
     sort_key,
 )
 from . import catalog
+from .seq import _content_count, _content_rank
 
 
 @record
@@ -62,11 +63,15 @@ def zset(cards: dict, fixed: bool = False) -> ZSetValue:
 
 
 def add_cards(a: dict, b: dict) -> dict:
-    """Keywise sum as a new dict, dropping keys that cancel to zero.
+    """Keywise sum, dropping keys that cancel to zero: ``a`` itself when
+    ``b`` is empty, else a new dict.
 
     One C-level copy of ``a``, then a Python loop over ``b`` only, so the
-    cost in Python is O(|b|). ``a`` must hold no zero entries.
+    cost in Python is O(|b|). ``a`` must hold no zero entries, and neither
+    ``a`` nor the result may be mutated afterwards.
     """
+    if not b:
+        return a
     out = dict(a)
     for k, v in b.items():
         v += out.get(k, 0)
@@ -236,17 +241,15 @@ def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
             return [StepResult(buffers, FINISHED, (TERMINATOR,), "map-zset-terminated")]
         return []
 
-    def rank(buffers, state):
-        return Rank((len(buffers[0].cards) + (0 if state.done else 1),))
-
     return OperatorDef(
         name="zset_map",
         inputs=(StreamType(zset_tag(key_type), bound),),
         outputs=(StreamType(zset_tag(key_type), bound),),
         initial_state=RUNNING,
         steps_fn=steps,
-        rank_fn=rank,
+        rank_fn=_content_rank(ZSET),
         params={"fn": catalog.spec_of(f), "key": str(key_type), "bound": bound.value},
+        enabled_fn=_content_count(ZSET),
     )
 
 
@@ -254,10 +257,11 @@ def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
 class JoinState:
     """The consumed input of each side, as key -> cardinality dicts.
 
-    The dicts are never mutated after construction: a drain copies a side
-    and updates only the keys in its delta. Dict equality ignores
-    insertion order and the hash is structural to match, so the explorer
-    deduplicates states that different drain orders reach.
+    The dicts are never mutated after construction: a drain gives each
+    side its delta touches a new dict and keeps the other side's dict as
+    it is. Dict equality ignores insertion order and the hash is
+    structural to match, so the explorer deduplicates states that
+    different drain orders reach.
     """
 
     seen_left: dict  # no zero entries
@@ -326,6 +330,10 @@ def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
             ]
         return []
 
+    def enabled(buffers, state):
+        left, right = buffers
+        return 1 if left.cards or right.cards or (left.fixed and right.fixed and not state.done) else 0
+
     def rank(buffers, state):
         left, right = buffers
         return Rank((len(left.cards) + len(right.cards) + (0 if state.done else 1),))
@@ -339,4 +347,5 @@ def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
         steps_fn=steps,
         rank_fn=rank,
         params={"key": str(key_type), "bound": bound.value},
+        enabled_fn=enabled,
     )

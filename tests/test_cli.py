@@ -323,6 +323,19 @@ def test_replay_determinism_counterexample(tmp_path, capsys):
     assert out["verdict"] == "Fail" and out["property"] == "Determinism"
 
 
+def test_replay_of_a_sampled_determinism_counterexample_reruns_its_two_seeds(tmp_path, capsys):
+    cx = tmp_path / "coin.json"
+    args = ["check", "--operator", "coin", "--property", "determinism", "--seed", "1"]
+    assert main(args + ["--counterexample", str(cx)]) == 1
+    checked = json.loads(capsys.readouterr().out)
+    assert checked["details"]["sampled"] == 20
+    info = json.loads(cx.read_text())["info"]
+    assert main(["replay", str(cx)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "Fail" and out["details"]["sampled"] == 2
+    assert out["counterexample"]["info"] == info
+
+
 def test_operator_determinism_reads_the_inputs_file(tmp_path, capsys):
     from flo.graph import node
     from flo.harness import check_determinism

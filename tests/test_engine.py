@@ -62,6 +62,7 @@ from flo.programs import five_node_graph, reachability_dynamic
 from flo.scheduler import InputBatch, RandomSched, RoundRobin, TraceStep, run_trace
 from flo.seq import SeqValue, SingletonNat, forward, scan, seq, seq_filter, seq_map, seq_tag
 from flo.sets import sset
+from flo.zset import zset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -211,6 +212,18 @@ def test_round_robin_evaluates_once_per_step(op_calls):
     # Only the stepped leaf is evaluated; the leaves a step feeds are
     # counted through enabled_fn, and evaluated once they are stepped.
     assert len(res.log) > 4_000
+    assert op_calls["n"] == len(res.log)
+
+
+def test_round_robin_evaluates_once_per_step_on_the_zset_join(op_calls):
+    # zset_map and zset_join declare their counts too, so a join that a
+    # map step feeds is not evaluated until it is stepped.
+    trace = [
+        TraceStep(InputBatch(tuple(Payload(zset({k: i % 3 + 1 for k in range(i, i + 20, s)})) for s in (1, 2))), None)
+        for i in range(0, 400, 10)
+    ]
+    res = run_trace(programs.zset_mix_pipeline(), trace, RoundRobin())
+    assert len(res.log) > 1_500
     assert op_calls["n"] == len(res.log)
 
 

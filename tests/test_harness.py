@@ -360,11 +360,15 @@ def test_sampled_determinism_fail_names_the_two_sampled_runs():
     assert not report.passed
     assert report.details["sampled"] == 20
     cx = report.counterexample
-    assert cx["seed_a"] == 0 < cx["seed_b"] < 20 and cx["stuck_a"] != cx["stuck_b"]
-    # Each names the sample run that reached its stuck configuration.
     rng = random.Random(4)
     seeds = [rng.randrange(1 << 30) for _ in range(20)]
+    assert cx["seed_a"] == seeds[0] and cx["seed_b"] in seeds[1:] and cx["stuck_a"] != cx["stuck_b"]
+    # Each is the RandomSched seed of the run that reached its stuck configuration.
     g, outs = set_inputs(node(op), inputs), (seq(),)
     for which in ("a", "b"):
-        picker = make_picker(RandomSched(seeds[cx[f"seed_{which}"]]))
+        picker = make_picker(RandomSched(cx[f"seed_{which}"]))
         assert run_to_stuck(g, outs, picker, 10_000)[:2] == cx[f"stuck_{which}"]
+    # Given those two seeds, the check re-runs just those runs.
+    again = check_determinism(op, inputs, mode="sampled", seeds=(cx["seed_a"], cx["seed_b"]))
+    assert again.details["sampled"] == 2
+    assert again.counterexample == cx

@@ -3,7 +3,8 @@
 The sequence operators consume their input only through
 ``SeqLanguage.take_oldest``, and each skeleton (per-item, pass-through,
 two-input drain) keeps every outcome, rule name and rank of the operators
-built on it. An operator's ``enabled_fn`` counts exactly the outcomes its
+built on it. Every registered operator but the ones ``EVALUATED`` names
+declares ``enabled_fn``, and it counts exactly the outcomes its
 ``steps_fn`` returns in fast mode.
 """
 
@@ -15,7 +16,7 @@ from flo.core import EMPTY, FINISHED, INT, RUNNING, TERMINATOR, FloError, Payloa
 from flo.graph import Node, compile_graph, node, run_steps, step_first, trajectory
 from flo.lvar import LVarValue, fold_lattice
 from flo.opcatalog import REGISTRY, coin, sample_cases
-from flo.scheduler import RoundRobin, make_picker
+from flo.scheduler import RandomSched, RoundRobin, make_picker
 from flo.seq import (
     SEQ,
     AccState,
@@ -280,6 +281,15 @@ def test_stuck_operators_have_no_outcomes():
 # enabled_fn: a step count that must equal the outcomes it stands for
 
 
+# Registered operators that keep the evaluate fallback, each with its reason.
+EVALUATED = {
+    "nest": "its count is an inner step of its graph, which is the evaluation itself",
+    "zip": "its count would restate nearly every branch of its steps_fn",
+    "repeat_nested": "its count would restate every branch of its steps_fn, and a step builds one Push",
+    "constant_rank": "rank-law fixture that is never stuck: each of its runs ends at a step cap",
+}
+
+
 def counted_ops():
     """(registry name, operator) for every registered operator that declares
     ``enabled_fn``, each operator once."""
@@ -291,41 +301,76 @@ def counted_ops():
     return list(ops.values())
 
 
-def test_the_per_item_operators_declare_their_count():
-    assert sorted({name for name, _op in counted_ops()}) == [
-        "filter",
-        "fold",
-        "fold_lattice",
-        "fold_unbounded",
-        "map",
-        "scan",
+def test_every_operator_but_the_named_ones_declares_its_count():
+    evaluated = {
+        name
+        for name, entry in REGISTRY.items()
+        if entry.op_eager.enabled_fn is None or entry.op_progress.enabled_fn is None
+    }
+    assert evaluated == set(EVALUATED)
+
+
+def walked_nodes(op):
+    """The node at every configuration along runs of ``op`` from its sampled
+    cases: the picker-less run and seeded ``RandomSched`` runs, from each
+    case's buffers and again after feeding the case's delta at the stuck
+    state. The runs evaluate ``op`` with its ``enabled_fn`` removed, so
+    they reach the same configurations whatever that count says."""
+    bare = replace(op, enabled_fn=None)
+    pickers = [lambda: None] + [lambda s=s: make_picker(RandomSched(s)) for s in (1, 2, 3)]
+    for kind in ("eager", "progress", "rank"):
+        for case in sample_cases(op.inputs, kind, 150, seed=11):
+            for new_picker in pickers:
+                g = compile_graph(node(bare, case.buffers))
+                yield g.nodes[0]
+                for g, _deltas, _choice in trajectory(g, new_picker(), cap=10_000):
+                    yield g.nodes[0]
+                if case.delta:
+                    # Feed the case's delta at the stuck state and run on from there.
+                    stuck = g.nodes[0]
+                    fed = Node(tuple(concat(b, d) for b, d in zip(stuck.buffers, case.delta)), bare, stuck.state)
+                    yield fed
+                    for g, _deltas, _choice in trajectory(fed, new_picker(), cap=10_000):
+                        yield g.nodes[0]
+
+
+def miscounted(op, enabled):
+    """The walked (buffers, state) pairs at which ``enabled`` is not the
+    number of ``op``'s fast-mode outcomes."""
+    return [
+        (n.buffers, n.state)
+        for n in walked_nodes(op)
+        if enabled(n.buffers, n.state) != len(op.steps_fn(n.buffers, n.state, False))
     ]
-
-
-def run_configs(g):
-    """``g`` and every configuration along its run to stuck, without a picker."""
-    configs = [compile_graph(g)]
-    for g2, _deltas, _choice in trajectory(g, cap=10_000):
-        configs.append(g2)
-    return configs
 
 
 @pytest.mark.parametrize("name,op", counted_ops(), ids=[name for name, _op in counted_ops()])
 def test_enabled_fn_counts_the_fast_outcomes(name, op):
-    checked = 0
-    for kind in ("eager", "progress", "rank"):
-        for case in sample_cases(op.inputs, kind, 150, seed=11):
-            configs = run_configs(node(op, case.buffers))
-            if case.delta:
-                # Feed the case's delta at the stuck state and run on from there.
-                stuck = configs[-1].nodes[0]
-                fed = tuple(concat(b, d) for b, d in zip(stuck.buffers, case.delta))
-                configs += run_configs(Node(fed, op, stuck.state))
-            for g in configs:
-                (n,) = g.nodes
-                assert op.enabled_fn(n.buffers, n.state) == len(op.steps_fn(n.buffers, n.state, False)), (kind, n)
-                checked += 1
-    assert checked > 3 * 150
+    assert miscounted(op, op.enabled_fn) == []
+
+
+def test_the_walk_reaches_two_outcome_drains_and_both_sided_joins():
+    # The walk meets set_union with both sides pending (two outcomes, of
+    # which RandomSched runs take either) and zset_join with cards on both.
+    union = REGISTRY["set_union"].op_eager
+    counts = [union.enabled_fn(n.buffers, n.state) for n in walked_nodes(union)]
+    assert counts.count(2) > 50
+    join = REGISTRY["zset_join"].op_eager
+    both = [n for n in walked_nodes(join) if n.buffers[0].cards and n.buffers[1].cards]
+    assert len(both) > 50
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda right: lambda buffers, state: 1 if not state.done else right(buffers, state),
+        lambda right: lambda buffers, state: 0 if buffers[1].cards and not buffers[0].cards else right(buffers, state),
+    ],
+    ids=["one-when-stuck", "zero-with-right-cards"],
+)
+def test_the_count_test_catches_a_wrong_zset_join_count(wrong):
+    join = REGISTRY["zset_join"].op_eager
+    assert miscounted(join, wrong(join.enabled_fn)) != []
 
 
 @pytest.mark.parametrize("sched", [None, RoundRobin()], ids=["first", "roundrobin"])

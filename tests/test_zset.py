@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import batch_zset_join, run_op
@@ -115,12 +116,23 @@ def test_incremental_join_equals_batch(left, right, seed):
 
 
 def test_add_cards_drops_cancelled_keys():
-    assert add_cards({1: 2, 2: 1}, {1: -2, 3: 0, 4: 5}) == {2: 1, 4: 5}
+    a = {1: 2, 2: 1}
+    assert add_cards(a, {1: -2, 3: 0, 4: 5}) == {2: 1, 4: 5} and a == {1: 2, 2: 1}
+    assert add_cards(a, {}) is a
 
 
 def drain_once(op, state, left, right, choice=0):
     r = op.steps((left, right), state, True)[choice]
     return r.state, r.buffers, r.deltas[0].value
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_a_one_sided_drain_keeps_the_other_sides_dict(exhaustive):
+    op = zset_join(INT)
+    state = JoinState({1: 1}, {1: 3, 2: 5}, False)
+    (r, *_) = op.steps((zset({1: 2, 4: 1}), zset({})), state, exhaustive)
+    assert r.state.seen_right is state.seen_right
+    assert r.state.seen_left == {1: 3, 4: 1} and r.deltas[0].value == zset({1: 6})
 
 
 def test_join_state_equality_ignores_insertion_order():
