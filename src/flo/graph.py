@@ -320,6 +320,7 @@ class Plan:
     located: list  # per leaf: what ``where`` returned for it, or None
     wires: tuple  # per leaf, per output port: (leaf, buffer) or (-1, port)
     in_leaves: tuple  # (leaf, lo, hi): that leaf's buffers are exterior inputs lo:hi
+    in_set: frozenset  # the leaves of in_leaves: a step anywhere else leaves the exterior inputs as they are
     outs: tuple  # the graph outputs in order, as (leaf, port)
     n_in: int  # number of exterior inputs
     blank: tuple  # one EMPTY per graph output
@@ -400,12 +401,14 @@ def _plan(e) -> tuple:
     graph_outs = [(-1, port) for port in range(len(outs))]
     for (i, p), dest in zip(outs, graph_outs):
         wires[i][p] = dest
+    in_leaves = _in_leaves(ins)
     plan = Plan(
         shape=tuple(shape),
         cells=tuple(cells),
         located=[None] * len(leaves),
         wires=tuple(tuple(w) for w in wires),
-        in_leaves=_in_leaves(ins),
+        in_leaves=in_leaves,
+        in_set=frozenset(i for i, _lo, _hi in in_leaves),
         outs=tuple(outs),
         n_in=len(ins),
         blank=(EMPTY,) * len(outs),

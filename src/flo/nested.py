@@ -50,6 +50,7 @@ from .core import (
     fix,
     is_fixed,
     member,
+    memo,
     record,
     register_language,
 )
@@ -356,6 +357,12 @@ class NestState:
     phase: int
     current: FlatGraph  # the in-flight iteration's graph, or the one the next phase starts from
     iter_outputs: tuple  # outputs accumulated by the current iteration
+    # The buffer tuple ``current`` was last synced to: its exterior inputs
+    # are that tuple's components, object for object. Set by ``run_graph``.
+    _fed: Optional[tuple] = memo()
+
+
+_SET_FED = NestState._fed.__set__
 
 
 def make_nest(g, g_o=None, outer_bound: Bound = U) -> OperatorDef:
@@ -409,34 +416,40 @@ def make_nest(g, g_o=None, outer_bound: Bound = U) -> OperatorDef:
             return []
         if not v.tuples:
             return []
-        # Returns state.current itself, with its stuck-prefix hint, while it
-        # still holds the oldest tuple, which run_graph below keeps true, so
-        # its nodes keep their outcomes and step_first resumes where the
-        # last inner step stopped.
-        synced = set_inputs(state.current, v.tuples[-1])
+        oldest = v.tuples[-1]
+        # A graph last synced to this very tuple needs no new sync: it keeps
+        # its nodes' outcomes and its stuck-prefix hint, so step_first
+        # resumes where the last inner step stopped.
+        synced = state.current if oldest is state._fed else set_inputs(state.current, oldest)
 
-        def run_graph(stepped, deltas):
-            # A step that consumed no input keeps the buffer object, and one
-            # that wrote no output keeps the outputs, so nothing is copied.
-            consumed = inputs(stepped)
-            if all(map(is_, consumed, v.tuples[-1])):
-                bufs = buffers
-            else:
-                bufs = (NestedSeqValue(v.terminated, v.tuples[:-1] + (consumed,), v.inner_types),)
+        def run_graph(stepped, deltas, leaf):
+            # Only a step on an input leaf can consume; any other step keeps
+            # the buffer object, and one that wrote no output keeps the
+            # outputs, so nothing is copied.
+            bufs, fed = buffers, oldest
+            if leaf in stepped.plan.in_set:
+                consumed = inputs(stepped)
+                if not all(map(is_, consumed, oldest)):
+                    fed = consumed
+                    bufs = (NestedSeqValue(v.terminated, v.tuples[:-1] + (fed,), v.inner_types),)
             if deltas is stepped.plan.blank:
                 outs, outer = state.iter_outputs, EMPTY
             else:
                 outs = tuple(concat(o, d) for o, d in zip(state.iter_outputs, deltas))
                 outer = Extend(deltas)
-            return StepResult(bufs, NestState(RUNNING_PHASE, stepped, outs), (outer,), "nest-run-graph")
+            nxt = NestState(RUNNING_PHASE, stepped, outs)
+            _SET_FED(nxt, fed)
+            return StepResult(bufs, nxt, (outer,), "nest-run-graph")
 
         if exhaustive:
-            stepped = [step_graph(synced, ch, True) for ch in enabled_steps(synced, True)]
+            moves = enabled_steps(synced, True)
+            if moves:
+                return [run_graph(*step_graph(synced, ch, True), ch.leaf) for ch in moves]
         else:
             hit = step_first(synced)
-            stepped = [] if hit is None else [hit]
-        if stepped:
-            return [run_graph(g2, deltas) for g2, deltas, *_ in stepped]
+            if hit is not None:
+                stepped, deltas, ch = hit
+                return [run_graph(stepped, deltas, ch.leaf)]
 
         # inner graph stuck on this tuple
         if not all(is_fixed(o) for o in state.iter_outputs):
@@ -470,7 +483,7 @@ def make_nest(g, g_o=None, outer_bound: Bound = U) -> OperatorDef:
             1 if state.phase == BEFORE else 0,
         ]
         synced = state.current
-        if state.phase == RUNNING_PHASE and v.tuples:
+        if state.phase == RUNNING_PHASE and v.tuples and v.tuples[-1] is not state._fed:
             synced = set_inputs(synced, v.tuples[-1])
         return Rank(tuple(head) + graph_rank(synced).components)
 

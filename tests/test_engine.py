@@ -396,6 +396,131 @@ def test_a_nest_step_counts_a_bounded_number_of_leaves_on_a_long_inner_chain(mon
 
 
 # ---------------------------------------------------------------------------
+# a nest step pays only for its inner step: the synced tuple (``_fed``) and
+# the input leaves (``Plan.in_set``)
+
+
+NEST_PROGRAMS = [
+    make for make in PROGRAMS if any(n.op.name == "nest" for n in compile_graph(make(*PROGRAMS[make])).nodes)
+]
+
+
+@pytest.mark.parametrize("make", list(PROGRAMS), ids=lambda f: f.__name__)
+def test_in_set_is_the_leaves_of_in_leaves(make):
+    g = compile_graph(make(*PROGRAMS[make]))
+    plan = g.plan
+    assert plan.in_set == {i for i, _lo, _hi in plan.in_leaves}
+    # Worked out again from the wires: the leaves with inputs that no wire feeds.
+    fed = {j for w in plan.wires for j, _b in w if j >= 0}
+    assert plan.in_set == {i for i, n in enumerate(g.nodes) if n.op.inputs} - fed
+
+
+@pytest.fixture
+def nest_checked(monkeypatch):
+    """Check every ``nest`` evaluation, and every rank, against the same
+    one on an equal ``NestState`` whose ``_fed`` is unset, and check that a
+    set ``_fed`` is what its graph's exterior inputs are, object for object.
+    Returns the number of evaluations made with ``_fed`` set."""
+    seen = {"fed": 0}
+    steps, rank = OperatorDef.steps, OperatorDef.rank
+
+    def unfed(op, state):
+        if op.name != "nest":
+            return None
+        if state._fed is not None:
+            seen["fed"] += 1
+            ins = inputs(state.current)
+            assert len(ins) == len(state._fed) and all(map(is_, ins, state._fed))
+        return NestState(state.phase, state.current, state.iter_outputs)
+
+    def checked_steps(self, buffers, state, exhaustive=False):
+        out = steps(self, buffers, state, exhaustive)
+        fresh = unfed(self, state)
+        if fresh is not None:
+            assert self.steps_fn(buffers, fresh, exhaustive) == out
+            for r in out:
+                if r.state._fed is not None:
+                    assert all(map(is_, inputs(r.state.current), r.state._fed))
+                    assert r.state._fed is r.buffers[0].tuples[-1]
+        return out
+
+    def checked_rank(self, buffers, state):
+        out = rank(self, buffers, state)
+        fresh = unfed(self, state)
+        if fresh is not None:
+            assert self.rank_fn(buffers, fresh) == out
+        return out
+
+    monkeypatch.setattr(OperatorDef, "steps", checked_steps)
+    monkeypatch.setattr(OperatorDef, "rank", checked_rank)
+    return seen
+
+
+def run_every_way(g, case):
+    """Run ``g`` fed the case's buffers to stuck without a picker and under
+    ``RoundRobin`` (fast mode, the delta fed after the first), and explore
+    it (exhaustive mode, capped)."""
+    g = set_inputs(g, case.buffers)
+    outs = tuple(bottom(st.collection) for st in out_types(g))
+    for picker in (None, scheduler.make_picker(RoundRobin())):
+        done, done_outs, _ = run_to_stuck(g, outs, picker, budget=20_000)
+        if case.delta:
+            run_to_stuck(set_inputs(done, apply_outputs(inputs(done), case.delta)), done_outs, picker, budget=20_000)
+    explore_all(g, outs, max_configs=150)
+
+
+@pytest.mark.parametrize("make", NEST_PROGRAMS, ids=lambda f: f.__name__)
+def test_a_synced_nest_step_equals_a_fresh_sync_on_every_nest_program(make, nest_checked):
+    g = compile_graph(make(*PROGRAMS[make]))
+    for kind in ("eager", "progress"):
+        for case in sample_cases(in_types(g), kind, 4, seed=23):
+            run_every_way(g, case)
+    assert nest_checked["fed"] > 0
+
+
+def test_a_synced_nest_step_equals_a_fresh_sync_on_the_registry_nest(nest_checked):
+    entry = REGISTRY["nest"]
+    for kind in ("eager", "progress"):
+        for case in cases_for(entry, kind, 20, seed=23):
+            run_every_way(compile_graph(node(entry.op_eager)), case)
+    assert nest_checked["fed"] > 0
+
+
+def test_a_nest_iteration_syncs_once_and_reads_its_inputs_only_on_input_leaf_steps(monkeypatch):
+    # Every inner step re-synced the inner graph and rebuilt its input
+    # tuple, whichever leaf it stepped.
+    from flo import nested
+
+    n = 12
+    calls = {"set_inputs": 0, "inputs": 0}
+    for name in calls:
+        original = getattr(nested, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nested, name, counting)
+    leaves = []
+    first = nested.step_first
+
+    def recording(g):
+        hit = first(g)
+        if hit is not None:
+            leaves.append(hit[2].leaf)
+        return hit
+
+    monkeypatch.setattr(nested, "step_first", recording)
+    g, outs = forward_chain_nest(n)
+    _, outs, _ = run_to_stuck(g, outs)
+    assert outs[0].terminated and len(outs[0].tuples) == 1
+    on_input_leaf = leaves.count(0)
+    assert len(leaves) > n > on_input_leaf > 0
+    assert calls["set_inputs"] <= 1
+    assert calls["inputs"] == on_input_leaf
+
+
+# ---------------------------------------------------------------------------
 # the picker protocol: picker(n) -> an index into the n enabled steps, or None
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from flo.core import EMPTY, INT, Payload, TERMINATOR
+from flo.core import B, EMPTY, INT, Payload, TERMINATOR
 from flo.gen import gen_value
 from flo.graph import Par, explore_all, node, set_inputs
 from flo.harness import (
@@ -15,7 +15,7 @@ from flo.harness import (
     check_progress,
     check_rank_and_preservation,
 )
-from flo.opcatalog import REGISTRY, cases_for
+from flo.opcatalog import REGISTRY, STDLIB_OPERATORS, cases_for
 from flo.programs import five_node_graph, fold_pipeline
 from flo.scheduler import DrainAll, DrainNone, InputBatch, TraceStep
 from flo.seq import SeqValue, seq, seq_map
@@ -372,3 +372,69 @@ def test_sampled_determinism_fail_names_the_two_sampled_runs():
     again = check_determinism(op, inputs, mode="sampled", seeds=(cx["seed_a"], cx["seed_b"]))
     assert again.details["sampled"] == 2
     assert again.counterexample == cx
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Count the checker's runs to stuck."""
+    from flo import harness
+
+    calls = {"n": 0}
+    original = harness.run_to_stuck
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_to_stuck", counting)
+    return calls
+
+
+def test_progress_runs_once_per_case_when_fixing_changes_no_buffer(runs):
+    op, cases = entry_cases("fold", "progress", 30)
+    assert all(st.bound is B for st in op.inputs)
+    assert check_progress(op, cases).passed
+    assert runs["n"] == 30
+
+
+def test_progress_reruns_a_case_whose_unbounded_input_is_unfixed(runs):
+    op = REGISTRY["map"].op_progress
+    assert check_progress(op, [OpCase(buffers=(seq(1, 2),))]).passed
+    assert runs["n"] == 2
+    assert check_progress(op, [OpCase(buffers=(seq(1, 2, terminated=True),))]).passed
+    assert runs["n"] == 3
+
+
+def rerun_progress(subject, cases, budget=4000):
+    """``check_progress`` as it was with its all-fixed run always made."""
+    from flo.core import fix, is_fixed
+    from flo.graph import compile_graph, out_types, run_to_stuck
+    from flo.harness import PropertyReport, _as_graph
+
+    base = compile_graph(node(subject))
+    outs_types = out_types(base)
+    n = 0
+    for n, case in enumerate(cases, 1):
+        _, o1, _ = run_to_stuck(*_as_graph(base, outs_types, case.buffers), budget=budget)
+        if any(st.bound is B and not is_fixed(v) for st, v in zip(outs_types, o1)):
+            return PropertyReport("StreamingProgress", "Fail", n, {"case": case})
+        _, o2, _ = run_to_stuck(*_as_graph(base, outs_types, tuple(fix(b) for b in case.buffers)), budget=budget)
+        if o2 != tuple(fix(o) for o in o1):
+            return PropertyReport("StreamingProgress", "Fail", n, {"case": case})
+    return PropertyReport("StreamingProgress", "Pass", n)
+
+
+@pytest.mark.parametrize("name", STDLIB_OPERATORS + ("fold_unbounded", "last_unbounded", "to_sequence_unbounded"))
+def test_progress_verdicts_match_the_always_rerun_check(name):
+    op, cases = entry_cases(name, "progress", 40, seed=202)
+    cases = list(cases)
+    got, want = check_progress(op, cases), rerun_progress(op, cases)
+    assert (got.verdict, got.cases) == (want.verdict, want.cases)
+    if not got.passed:
+        assert got.counterexample["case"] == want.counterexample["case"]
+
+
+@pytest.mark.parametrize("no_runs", [{"samples": 0}, {"seeds": ()}], ids=["samples=0", "seeds=()"])
+def test_sampled_determinism_with_no_runs_passes_with_no_cases(no_runs):
+    report = check_determinism(REGISTRY["map"].op_eager, (seq(1, 2),), mode="sampled", **no_runs)
+    assert (report.verdict, report.cases) == ("Pass", 0)
+    assert report.details["sampled"] == 0
