@@ -20,9 +20,13 @@ par-left, par-right, operator) are worked out only when a log, a report
 or an error prints them, and kept.
 
 A step replaces one node and concats each emitted delta straight into its
-destination. ``enabled_steps`` lists the steps and ``step_graph`` applies
-one, for the explorer. Every run goes through one stepping kernel,
-``_kernel``: ``run_steps`` and ``trajectory``. ``step_first``, for
+destination, through ``_advance``. Every step taken from one configuration
+to each of its successors goes through one successor function,
+``successors``: it yields (choice, graph', deltas) per enabled step, in
+``enabled_steps`` order, fetching each leaf's outcomes once. The explorer,
+the eager check, the lasso and ``nest``'s exhaustive step use it, and
+``step_graph`` is a lookup over it. Every run goes through one stepping
+kernel, ``_kernel``: ``run_steps`` and ``trajectory``. ``step_first``, for
 ``nest``'s one step at a time, takes the kernel's first step through the
 kernel's own scan (``_scan``) and step (``_take``), without a generator.
 A scheduler only decides which of the ``n`` enabled steps runs next, so a
@@ -639,18 +643,23 @@ def enabled_steps(e, exhaustive: bool = False) -> list:
     return [StepChoice(i, k) for i, n in enumerate(g.nodes) for k in range(len(_outcomes(n, exhaustive)))]
 
 
+def successors(e, exhaustive: bool = False):
+    """Yield (choice, graph', deltas) for every enabled step, in ``enabled_steps``
+    order: each leaf's outcomes are fetched once, each applied by ``_advance``."""
+    g = compile_graph(e)
+    for i, n in enumerate(g.nodes):
+        for k, r in enumerate(_outcomes(n, exhaustive)):
+            nodes = list(g.nodes)
+            written = _advance(g.plan, nodes, i, r)
+            yield StepChoice(i, k), FlatGraph(g.plan, tuple(nodes)), _deltas(g.plan, i, r, written)
+
+
 def step_graph(e, choice: StepChoice, exhaustive: bool = False):
     """Apply one chosen step; returns (graph', output deltas)."""
-    g = compile_graph(e)
-    i = choice.leaf
-    if not 0 <= i < len(g.nodes):
-        raise InvalidChoice(f"no leaf {i} in a graph of {len(g.nodes)} leaves")
-    rs = _outcomes(g.nodes[i], exhaustive)
-    if choice.index >= len(rs):
-        raise InvalidChoice(f"{g.nodes[i].op.name}: choice {choice.index} of {len(rs)}")
-    nodes, r = list(g.nodes), rs[choice.index]
-    written = _advance(g.plan, nodes, i, r)
-    return FlatGraph(g.plan, tuple(nodes)), _deltas(g.plan, i, r, written)
+    for ch, g2, deltas in successors(e, exhaustive):
+        if ch == choice:
+            return g2, deltas
+    raise InvalidChoice(f"{choice} is not an enabled step")
 
 
 def step_first(e):
@@ -846,12 +855,10 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
     while queue:
         cfg = queue.popleft()
         g, outs = cfg
-        choices = enabled_steps(g, exhaustive=True)
-        if not choices:
+        moves = list(successors(g, True))
+        if not moves:
             stuck.append(cfg)
-            continue
-        for ch in choices:
-            g2, deltas = step_graph(g, ch, exhaustive=True)
+        for ch, g2, deltas in moves:
             nxt = (g2, outs if deltas is blank else apply_outputs(outs, deltas))
             if nxt in parents:
                 continue

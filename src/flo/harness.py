@@ -38,7 +38,6 @@ from .graph import (
     apply_outputs,
     budget_message,
     compile_graph,
-    enabled_steps,
     explore_all,
     graph_rank,
     inputs,
@@ -47,7 +46,7 @@ from .graph import (
     run_steps,
     run_to_stuck,
     set_inputs,
-    step_graph,
+    successors,
     trajectory,
 )
 from .scheduler import RandomSched, RunResult, make_picker, run_trace
@@ -112,8 +111,7 @@ def check_eager(subject, cases, budget: int = 4000) -> PropertyReport:
         g0, outs0 = _as_graph(base, out_tys, case.buffers)
         g0, outs0, _ = run_steps(g0, outs0, cap=case.presteps)
         target = run_to_stuck(_feed(g0, case.delta), outs0, budget=budget)[:2]
-        for choice in enabled_steps(g0):
-            g1, deltas = step_graph(g0, choice)
+        for choice, g1, deltas in successors(g0):
             stuck = run_to_stuck(_feed(g1, case.delta), apply_outputs(outs0, deltas), budget=budget)[:2]
             if stuck != target:
                 cx = {
@@ -309,8 +307,7 @@ def _lasso(g, outs) -> tuple:
     cfg, at, choices = (g, outs), {}, []
     while cfg not in at:
         at[cfg] = len(choices)
-        choice = enabled_steps(cfg[0], exhaustive=True)[0]
-        g2, deltas = step_graph(cfg[0], choice, exhaustive=True)
+        choice, g2, deltas = next(successors(cfg[0], True))
         cfg = (g2, apply_outputs(cfg[1], deltas))
         choices.append(choice)
     k = at[cfg]

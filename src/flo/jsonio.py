@@ -155,13 +155,16 @@ def decode_graph(j):
             raise ParseError(f"bad graph {j!r}")
         if key == "op":
             spec = j["op"]
-            ident = json.dumps([spec["name"], spec.get("params")], sort_keys=True)
-            op = ops.get(ident)
-            if op is None:
-                op = ops[ident] = build_operator(spec["name"], spec.get("params"))
-            buffers = None
-            if spec.get("buffers"):
-                buffers = tuple(decode_value(v, st.collection) for v, st in zip(spec["buffers"], op.inputs))
+            try:  # a spec that is not an object, lacks a name, or has params or buffers of the wrong shape
+                ident = json.dumps([spec["name"], spec.get("params")], sort_keys=True)
+                op = ops.get(ident)
+                if op is None:
+                    op = ops[ident] = build_operator(spec["name"], spec.get("params"))
+                buffers = None
+                if spec.get("buffers"):
+                    buffers = tuple(decode_value(v, st.collection) for v, st in zip(spec["buffers"], op.inputs))
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ParseError(f"bad operator {spec!r}: {type(exc).__name__}: {exc}") from exc
             built.append(node(op, buffers))
         elif expanded:
             first = len(built) - len(j[key])
@@ -176,6 +179,20 @@ def decode_graph(j):
 # traces
 
 
+def _integer(raw, what: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ParseError(f"bad {what} {raw!r}") from None
+
+
+def _count(raw, what: str) -> int:
+    n = _integer(raw, what)
+    if n < 0:
+        raise ParseError(f"bad {what} {raw!r}: must not be negative")
+    return n
+
+
 def decode_trace(j, input_types):
     from .scheduler import DrainAll, DrainNone, DrainPrefix, DrainRandom, InputBatch, TraceStep
 
@@ -183,7 +200,11 @@ def decode_trace(j, input_types):
         raise ParseError("trace must be a list of iterations")
     steps = []
     for entry in j:
+        if not isinstance(entry, dict):
+            raise ParseError(f"bad trace iteration {entry!r}")
         batch = entry.get("batch", [])
+        if not isinstance(batch, list):
+            raise ParseError(f"bad batch {batch!r}")
         if len(batch) != len(input_types):
             raise ParseError(
                 f"batch has {len(batch)} deltas for {len(input_types)} inputs"
@@ -192,16 +213,16 @@ def decode_trace(j, input_types):
             decode_delta(d, st.collection) for d, st in zip(batch, input_types)
         )
         raw_steps = entry.get("steps", "max")
-        budget = None if raw_steps == "max" else int(raw_steps)
+        budget = None if raw_steps == "max" else _count(raw_steps, "steps")
         drain_spec = entry.get("drain", "none")
         if drain_spec == "all":
             drain = DrainAll()
         elif drain_spec == "none":
             drain = DrainNone()
         elif isinstance(drain_spec, dict) and "prefix" in drain_spec:
-            drain = DrainPrefix(int(drain_spec["prefix"]))
+            drain = DrainPrefix(_count(drain_spec["prefix"], "drain prefix"))
         elif isinstance(drain_spec, dict) and "random" in drain_spec:
-            drain = DrainRandom(int(drain_spec["random"]))
+            drain = DrainRandom(_integer(drain_spec["random"], "drain seed"))
         else:
             raise ParseError(f"bad drain policy {drain_spec!r}")
         steps.append(TraceStep(InputBatch(deltas), budget, drain))

@@ -60,12 +60,11 @@ from .graph import (
     FlatGraph,
     Node,
     compile_graph,
-    enabled_steps,
     graph_rank,
     inputs,
     set_inputs,
     step_first,
-    step_graph,
+    successors,
     typecheck,
 )
 
@@ -442,9 +441,9 @@ def make_nest(g, g_o=None, outer_bound: Bound = U) -> OperatorDef:
             return StepResult(bufs, nxt, (outer,), "nest-run-graph")
 
         if exhaustive:
-            moves = enabled_steps(synced, True)
+            moves = [run_graph(g2, deltas, ch.leaf) for ch, g2, deltas in successors(synced, True)]
             if moves:
-                return [run_graph(*step_graph(synced, ch, True), ch.leaf) for ch in moves]
+                return moves
         else:
             hit = step_first(synced)
             if hit is not None:

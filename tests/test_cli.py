@@ -64,8 +64,36 @@ class TestTypecheck:
         assert main(["typecheck", str(p)]) == 2
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "graph",
+        [{"op": {}}, {"op": {"name": "map", "params": 3}}],
+        ids=["no-name", "params-not-an-object"],
+    )
+    def test_malformed_operator_spec_exits_two(self, tmp_path, capsys, graph):
+        assert main(["typecheck", write(tmp_path, "g.json", graph)]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
+
+ONE_ITEM = [{"payload": {"terminated": False, "items": [1]}}]
+
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            [1],
+            [{"batch": ONE_ITEM, "steps": "abc"}],
+            [{"batch": ONE_ITEM, "steps": -1}],
+            [{"batch": ONE_ITEM, "drain": {"prefix": "x"}}],
+        ],
+        ids=["iteration-not-an-object", "steps-not-a-number", "negative-steps", "prefix-not-a-number"],
+    )
+    def test_malformed_trace_exits_two(self, tmp_path, capsys, trace):
+        g = write(tmp_path, "g.json", map_scan_graph())
+        assert main(["run", g, write(tmp_path, "t.json", trace)]) == 2
+        captured = capsys.readouterr()
+        assert "ParseError" in captured.err and captured.out == ""
+
     def test_ill_typed_batch_exits_one(self, tmp_path, capsys):
         g = write(tmp_path, "g.json", map_scan_graph())
         t = write(tmp_path, "t.json", [{"batch": [{"payload": {"items": [True, 2.5]}}], "drain": "all"}])

@@ -209,8 +209,9 @@ def test_invalid_choice_rejected():
     from flo.graph import StepChoice
 
     g = node(seq_map("inc", INT, INT), (seq(1),))
-    with pytest.raises(InvalidChoice):
-        step_graph(g, StepChoice(0, 5))
+    for index in (5, -1):  # a negative index is no choice, not one counted from the end
+        with pytest.raises(InvalidChoice):
+            step_graph(g, StepChoice(0, index))
     for leaf in (1, -1):
         with pytest.raises(InvalidChoice):
             step_graph(g, StepChoice(leaf, 0))
