@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FloError, FunctionEvalError
+from .core import FloError, FunctionEvalError, ParseError
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def _parameterized(spec: dict) -> FnEntry:
             lambda k, v: v if k >= c else 0,
             {"name": "keep_key_ge", "c": c},
         )
-    raise FloError(f"unknown catalog function {name!r}")
+    raise ParseError(f"unknown catalog function {name!r}")
 
 
 def resolve(fn, arity: int) -> FnEntry:
@@ -75,7 +75,7 @@ def resolve(fn, arity: int) -> FnEntry:
         entry = fn
     elif isinstance(fn, str):
         if fn not in _SIMPLE:
-            raise FloError(f"unknown catalog function {fn!r}")
+            raise ParseError(f"unknown catalog function {fn!r}")
         entry = _SIMPLE[fn]
     elif isinstance(fn, dict):
         entry = _parameterized(fn)
@@ -83,9 +83,9 @@ def resolve(fn, arity: int) -> FnEntry:
         # Escape hatch for tests; not serializable.
         entry = FnEntry(getattr(fn, "__name__", "fn"), arity, fn, None)
     else:
-        raise FloError(f"cannot resolve function from {fn!r}")
+        raise ParseError(f"cannot resolve function from {fn!r}")
     if entry.arity != arity:
-        raise FloError(f"{entry.name} has arity {entry.arity}, expected {arity}")
+        raise ParseError(f"{entry.name} has arity {entry.arity}, expected {arity}")
     return entry
 
 

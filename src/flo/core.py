@@ -91,6 +91,11 @@ class FloError(Exception):
     """Base class for all model-level errors."""
 
 
+class ParseError(FloError):
+    """Input that does not describe a graph, a value, a trace or a report:
+    malformed JSON, or a name no catalog knows."""
+
+
 class PayloadShapeMismatch(FloError):
     """Delta payload does not match the collection language's delta grammar."""
 

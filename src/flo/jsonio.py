@@ -24,15 +24,12 @@ from .core import (
     Extend,
     FloError,
     LANGUAGES,
+    ParseError,
     Payload,
     Push,
     TERMINATOR,
     Tag,
 )
-
-
-class ParseError(FloError):
-    pass
 
 
 # ---------------------------------------------------------------------------

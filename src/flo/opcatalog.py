@@ -17,9 +17,9 @@ from .core import (
     B,
     Bound,
     ElemType,
-    FloError,
     INT,
     OperatorDef,
+    ParseError,
     Payload,
     Rank,
     StepResult,
@@ -92,13 +92,13 @@ def parse_elem(s: str) -> ElemType:
         return ElemType("pair", (parse_elem(a), parse_elem(b)))
     if s in ("any", "int", "nat", "bool", "str"):
         return ElemType(s)
-    raise FloError(f"cannot parse element type {s!r}")
+    raise ParseError(f"cannot parse element type {s!r}")
 
 
 def parse_stream(s: str) -> StreamType:
     s = s.strip()
     if not (s.startswith("(") and s.endswith(")")):
-        raise FloError(f"cannot parse stream type {s!r}")
+        raise ParseError(f"cannot parse stream type {s!r}")
     tag_s, bound_s = _split_args(s[1:-1])
     bound = B if bound_s.strip() == "B" else U
     return StreamType(parse_tag(tag_s), bound)
@@ -109,7 +109,7 @@ def parse_tag(s: str) -> Tag:
     if s == "nat":
         return Tag("nat")
     if "<" not in s:
-        raise FloError(f"cannot parse collection type {s!r}")
+        raise ParseError(f"cannot parse collection type {s!r}")
     head, rest = s.split("<", 1)
     body = rest[:-1]
     if head in ("seq", "set", "zset"):
@@ -118,7 +118,7 @@ def parse_tag(s: str) -> Tag:
         return Tag("lvar", (body.strip(),))
     if head == "nested":
         return Tag("nested", tuple(parse_stream(a) for a in _split_args(body)))
-    raise FloError(f"cannot parse collection type {s!r}")
+    raise ParseError(f"cannot parse collection type {s!r}")
 
 
 def _bound(params, default="U") -> Bound:
@@ -251,7 +251,7 @@ def _register(entry: OpEntry):
 
 def build_operator(name: str, params: Optional[dict] = None) -> OperatorDef:
     if name not in REGISTRY:
-        raise FloError(f"unknown operator {name!r}")
+        raise ParseError(f"unknown operator {name!r}")
     entry = REGISTRY[name]
     merged = dict(entry.default_params)
     merged.update(params or {})
@@ -437,7 +437,7 @@ def _build_nest(p):
         elif inner_name == "fold_sum":
             g = fold_pipeline()
         else:
-            raise FloError(f"unknown inner graph {inner_name!r}")
+            raise ParseError(f"unknown inner graph {inner_name!r}")
     else:
         from .jsonio import decode_graph
 

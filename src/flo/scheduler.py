@@ -103,7 +103,13 @@ class DrainAll:
 
 @dataclass(frozen=True)
 class DrainPrefix:
+    """Drain up to ``n`` oldest units; ``n`` must not be negative."""
+
     n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise FloError(f"DrainPrefix({self.n}): the unit count must not be negative")
 
 
 @dataclass(frozen=True)

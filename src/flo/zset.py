@@ -6,12 +6,20 @@ zero entries away, so structural equality is semantic equality. The
 incremental operators distribute over that addition: map requires a
 cardinality-linear function, and join exploits bilinearity of the keywise
 product, storing consumed input on each side.
+
+Every z-set step costs O(|delta|) in Python, whatever the stored state:
+``zset_map`` emits its one key as it is, a join drain works once per
+delta key and keeps each stored side as a ``CardMap`` (a shared base dict
+plus a small overlay, so a drain copies only the overlay), and
+``ZSetLanguage.concat`` places a one-key delta by one bisection and keeps
+the buffer itself for an empty one.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections.abc import Mapping
 from itertools import chain, product
 
 from .core import (
@@ -62,26 +70,6 @@ def zset(cards: dict, fixed: bool = False) -> ZSetValue:
     return ZSetValue(ordered, fixed)
 
 
-def add_cards(a: dict, b: dict) -> dict:
-    """Keywise sum, dropping keys that cancel to zero: ``a`` itself when
-    ``b`` is empty, else a new dict.
-
-    One C-level copy of ``a``, then a Python loop over ``b`` only, so the
-    cost in Python is O(|b|). ``a`` must hold no zero entries, and neither
-    ``a`` nor the result may be mutated afterwards.
-    """
-    if not b:
-        return a
-    out = dict(a)
-    for k, v in b.items():
-        v += out.get(k, 0)
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
 def merge_cards(cards: tuple, delta: tuple) -> tuple:
     """Keywise sum of two sorted card tuples, sorted, with cancelled keys dropped.
 
@@ -107,11 +95,6 @@ def merge_cards(cards: tuple, delta: tuple) -> tuple:
 
 def _card_key(card):
     return sort_key(card[0])
-
-
-def join_cards(a: dict, b: dict) -> dict:
-    """Keywise cardinality product."""
-    return {k: a[k] * b[k] for k in a.keys() & b.keys() if a[k] * b[k] != 0}
 
 
 def _key_domain(elem: ElemType):
@@ -146,7 +129,10 @@ class ZSetLanguage(CollectionLanguage):
         if delta is TERMINATOR:
             return ZSetValue(value.cards, True)
         if isinstance(delta, Payload) and isinstance(delta.value, ZSetValue):
-            return ZSetValue(merge_cards(value.cards, delta.value.cards), delta.value.fixed)
+            d = delta.value
+            if not d.cards and d.fixed == value.fixed:
+                return value  # so the engine keeps the buffer's node and its outcomes
+            return ZSetValue(merge_cards(value.cards, d.cards), d.fixed)
         raise PayloadShapeMismatch(f"zset cannot absorb {delta!r}")
 
     def fix(self, value):
@@ -216,6 +202,8 @@ def zset_tag(key_type: ElemType = ANY) -> Tag:
 # ---------------------------------------------------------------------------
 # operators
 
+_NO_EMISSION = Payload(ZSetValue((), False))  # concat keeps a non-fixed buffer as it is
+
 
 def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     """Keywise transform of cardinalities; linear in the cardinality.
@@ -230,7 +218,8 @@ def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
         k, v = inp.cards[i]
         rest = ZSetValue(inp.cards[:i] + inp.cards[i + 1 :], inp.fixed)
         out = catalog.call(f, k, v)
-        return StepResult((rest,), state, (Payload(zset({k: out})),), "map-zset")
+        emitted = Payload(ZSetValue(((k, out),), False)) if out else _NO_EMISSION
+        return StepResult((rest,), state, (emitted,), "map-zset")
 
     def steps(buffers, state, exhaustive):
         (inp,) = buffers
@@ -253,25 +242,125 @@ def zset_map(fn, key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     )
 
 
-@record
-class JoinState:
-    """The consumed input of each side, as key -> cardinality dicts.
+_NO_OVERLAY: dict = {}  # shared, never mutated
 
-    The dicts are never mutated after construction: a drain gives each
-    side its delta touches a new dict and keeps the other side's dict as
-    it is. Dict equality ignores insertion order and the hash is
-    structural to match, so the explorer deduplicates states that
-    different drain orders reach.
+
+def _folded(base: dict, over: dict) -> dict:
+    """``base`` with ``over``'s entries written over it, a 0 removing its key."""
+    out = dict(base)
+    for k, v in over.items():
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
+class CardMap(Mapping):
+    """An immutable mapping of keys to nonzero cardinalities, kept as a base
+    dict plus an overlay of the keys changed since.
+
+    The overlay holds exactly the keys whose cardinality differs from the
+    base's, with 0 for a base key that cancelled. ``plus`` copies only the
+    overlay, in C, and works once per delta key; when the overlay outgrows
+    about the square root of the base, it is folded into a new base. So a
+    change of d keys costs O(d) in Python and O(d + sqrt(n)) in C, amortised,
+    on a mapping of n keys. Neither dict is ever mutated once it is part
+    of a ``CardMap``, so mappings share them freely.
+
+    It behaves as the dict it stands for, whatever the layout: it compares
+    equal to that dict and to every ``CardMap`` of the same items, hashes
+    by its items and prints as a dict with sorted keys.
     """
 
-    seen_left: dict  # no zero entries
-    seen_right: dict
-    done: bool
+    __slots__ = ("base", "over")
+
+    def __init__(self, base: dict, over: dict = _NO_OVERLAY):
+        self.base = base
+        self.over = over
+
+    @classmethod
+    def of(cls, cards) -> "CardMap":
+        """The mapping of a dict or of (key, cardinality) pairs, zero entries dropped."""
+        return cls({k: v for k, v in dict(cards).items() if v})
+
+    def plus(self, delta) -> "CardMap":
+        """This mapping with ``delta``'s (key, nonzero cardinality) pairs
+        added keywise, cancelled keys dropped: itself for an empty delta."""
+        if not delta:
+            return self
+        base, over = self.base, dict(self.over)
+        for k, v in delta:
+            b = base.get(k, 0)
+            v += over.get(k, b)
+            if v == b:
+                over.pop(k, None)
+            else:
+                over[k] = v
+        if len(over) ** 2 > len(base):
+            return CardMap(_folded(base, over))
+        return CardMap(base, over)
+
+    def _flat(self) -> dict:
+        return _folded(self.base, self.over) if self.over else self.base
+
+    def get(self, k, default=None):
+        v = self.over.get(k)
+        if v is None:
+            return self.base.get(k, default)
+        return v if v else default
+
+    def __getitem__(self, k):
+        v = self.get(k)
+        if v is None:
+            raise KeyError(k)
+        return v
+
+    def __iter__(self):
+        return iter(self._flat())
+
+    def __len__(self):
+        base = self.base
+        return len(base) + sum((v != 0) - (k in base) for k, v in self.over.items())
+
+    def __eq__(self, other):
+        if isinstance(other, CardMap):
+            if other.base is self.base:
+                return other.over == self.over
+            return self._flat() == other._flat()
+        if isinstance(other, Mapping):
+            return self._flat() == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash(
-            (frozenset(self.seen_left.items()), frozenset(self.seen_right.items()), self.done)
-        )
+        return hash(frozenset(self._flat().items()))
+
+    def __repr__(self):
+        items = sorted(self._flat().items(), key=_card_key)
+        return "{" + ", ".join(f"{k!r}: {v!r}" for k, v in items) + "}"
+
+
+@record
+class JoinState:
+    """The consumed input of each side, as key -> cardinality ``CardMap``s.
+
+    A drain gives each side its delta touches a new ``CardMap`` that
+    shares the old one's base, and keeps the other side as it is. Given
+    dicts, the constructor takes each as a ``CardMap``, so a state built
+    from dicts and one that drains reached are one state: the sides
+    compare, hash and print by their items, whatever their layout, and
+    the explorer deduplicates states that different drain orders reach.
+    """
+
+    seen_left: CardMap  # no zero entries
+    seen_right: CardMap
+    done: bool
+
+    def __post_init__(self):
+        if type(self.seen_left) is not CardMap:
+            object.__setattr__(self, "seen_left", CardMap.of(self.seen_left))
+        if type(self.seen_right) is not CardMap:
+            object.__setattr__(self, "seen_right", CardMap.of(self.seen_right))
 
 
 def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
@@ -283,18 +372,23 @@ def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
     confluent choices (bilinearity makes every interleaving agree).
     """
 
-    def drain(state, dl: dict, dr: dict, left_rest, right_rest):
+    def drain(state, dl: tuple, dr: tuple, left_rest, right_rest):
+        # One pass over the delta's keys: each emits (sl+dl)(sr+dr) - sl*sr,
+        # the three cross terms at once. Only a result of two or more keys
+        # is sorted.
         sl, sr = state.seen_left, state.seen_right
-        emitted = add_cards(
-            add_cards(join_cards(sl, dr), join_cards(dl, sr)), join_cards(dl, dr)
-        )
-        new_state = JoinState(add_cards(sl, dl), add_cards(sr, dr), False)
-        return StepResult(
-            (left_rest, right_rest),
-            new_state,
-            (Payload(zset(emitted)),),
-            "join-zset",
-        )
+        dld, drd = dict(dl), dict(dr)
+        out = []
+        for k in dld.keys() | drd.keys() if dl and dr else dld or drd:
+            a, b = sl.get(k, 0), sr.get(k, 0)
+            v = (a + dld.get(k, 0)) * (b + drd.get(k, 0)) - a * b
+            if v:
+                out.append((k, v))
+        if len(out) > 1:
+            out.sort(key=_card_key)
+        emitted = Payload(ZSetValue(tuple(out), False)) if out else _NO_EMISSION
+        new_state = JoinState(sl.plus(dl), sr.plus(dr), False)
+        return StepResult((left_rest, right_rest), new_state, (emitted,), "join-zset")
 
     def steps(buffers, state, exhaustive):
         left, right = buffers
@@ -303,8 +397,8 @@ def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
             results.append(
                 drain(
                     state,
-                    left.as_dict(),
-                    right.as_dict(),
+                    left.cards,
+                    right.cards,
                     ZSetValue((), left.fixed),
                     ZSetValue((), right.fixed),
                 )
@@ -313,11 +407,11 @@ def zset_join(key_type: ElemType = ANY, bound: Bound = U) -> OperatorDef:
                 for i in range(len(left.cards)):
                     k, v = left.cards[i]
                     rest = ZSetValue(left.cards[:i] + left.cards[i + 1 :], left.fixed)
-                    results.append(drain(state, {k: v}, {}, rest, right))
+                    results.append(drain(state, ((k, v),), (), rest, right))
                 for i in range(len(right.cards)):
                     k, v = right.cards[i]
                     rest = ZSetValue(right.cards[:i] + right.cards[i + 1 :], right.fixed)
-                    results.append(drain(state, {}, {k: v}, left, rest))
+                    results.append(drain(state, (), ((k, v),), left, rest))
             return results
         if left.fixed and right.fixed and not state.done:
             return [

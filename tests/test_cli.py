@@ -73,6 +73,25 @@ class TestTypecheck:
         assert main(["typecheck", write(tmp_path, "g.json", graph)]) == 2
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"op": {"name": "nosuch"}},
+            {"op": {"name": "map", "params": {"fn": "nosuchfn"}}},
+            {"op": {"name": "map", "params": {"elem": "zz"}}},
+        ],
+        ids=["unknown-operator", "unknown-function", "unparsable-element-type"],
+    )
+    def test_unknown_name_in_a_graph_file_exits_two(self, tmp_path, capsys, graph):
+        assert main(["typecheck", write(tmp_path, "g.json", graph)]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
+    def test_nest_with_an_unbounded_inner_output_exits_one(self, tmp_path, capsys):
+        inner = {"op": {"name": "map", "params": {"fn": "inc", "elem": "int", "elem_out": "int", "bound": "U"}}}
+        path = write(tmp_path, "g.json", {"op": {"name": "nest", "params": {"graph": inner}}})
+        assert main(["typecheck", path]) == 1
+        assert "NestOutputUnbounded" in capsys.readouterr().err
+
 
 ONE_ITEM = [{"payload": {"terminated": False, "items": [1]}}]
 

@@ -58,7 +58,7 @@ from flo.graph import (
 from flo.harness import OpCase, check_determinism, check_rank_and_preservation
 from flo.nested import RUNNING_PHASE, NestedSeqValue, NestState, make_nest
 from flo.opcatalog import REGISTRY, cases_for, sample_cases
-from flo.programs import five_node_graph, reachability_dynamic
+from flo.programs import five_node_graph, reachability_dynamic, zset_mix_pipeline
 from flo.scheduler import InputBatch, RandomSched, RoundRobin, TraceStep, run_trace
 from flo.seq import SeqValue, SingletonNat, forward, scan, seq, seq_filter, seq_map, seq_tag
 from flo.sets import sset
@@ -702,6 +702,16 @@ def test_explore_all_config_counts_are_unchanged(n, configs):
     outs = tuple(bottom(st.collection) for st in out_types(g))
     res = explore_all(g, outs, max_configs=10**6)
     assert res.visited == configs and not res.capped
+    assert len(set(res.stuck)) == 1
+
+
+def test_explore_all_config_count_on_the_zset_join_is_unchanged():
+    # Drain orders of the join meet in one state only if its stored sides
+    # compare and hash by their items, whatever their layout.
+    g = set_inputs(zset_mix_pipeline(), (zset({0: 1, 1: 1, 2: 1}), zset({1: 2, 2: 2, 3: 2})))
+    outs = tuple(bottom(st.collection) for st in out_types(g))
+    res = explore_all(g, outs, max_configs=10**6)
+    assert res.visited == 900 and not res.capped
     assert len(set(res.stuck)) == 1
 
 

@@ -173,7 +173,7 @@ def test_mixed_zset_pipeline_exhaustive_determinism():
     g = zset_mix_pipeline()
     ins = (zset({1: 1, 2: -1}), zset({1: 2}))
     report = check_determinism(g, ins, mode="exhaustive", max_configs=100_000)
-    assert report.passed
+    assert report.passed and report.details == {"configs": 30, "stuck": 1}
 
 
 def _bounded_variants():

@@ -11,6 +11,7 @@ import pytest
 
 import flo
 from flo.core import memo, record
+from flo.zset import CardMap
 
 
 def _flo_classes():
@@ -81,6 +82,7 @@ SAMPLES = {
     "tuple": ((1, 2), (3,)),
     "frozenset": (frozenset({1, 2}), frozenset()),
     "dict": ({1: 2}, {"k": -1}),
+    "CardMap": (CardMap({1: 2}), CardMap({"k": -1})),
 }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from flo import scheduler
-from flo.core import Payload, StepBudgetExceeded, TERMINATOR
+from flo.core import FloError, Payload, StepBudgetExceeded, TERMINATOR
 from flo.graph import StepEvent, inputs, node, run_to_stuck
 from flo.programs import fold_pipeline, scan_pipeline
 from flo.scheduler import (
@@ -157,6 +157,15 @@ def test_lvar_outputs_drain_whole_or_not_at_all():
     closed = LVarValue("max_nat", 7, True)
     drained, rest = drain_value(closed, DrainAll(), None)
     assert drained == closed and rest == LVarValue("max_nat", 0, False)
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+def test_a_negative_drain_prefix_is_refused(n):
+    # Sliced with a negative count, a sequence would drain all but its
+    # newest items out of order and a z-set all but its largest keys.
+    with pytest.raises(FloError, match="must not be negative"):
+        DrainPrefix(n)
+    assert DrainPrefix(0).n == 0
 
 
 def test_random_drain_recombines():

@@ -10,7 +10,7 @@ from conftest import batch_zset_join, run_op
 from flo.core import INT, Payload, TERMINATOR, concat
 from flo.graph import inputs, node, run_to_stuck, set_inputs
 from flo import zset as zset_module
-from flo.zset import JoinState, ZSetValue, add_cards, zset, zset_join, zset_map
+from flo.zset import CardMap, JoinState, ZSetValue, zset, zset_join, zset_map
 
 
 def test_zero_entries_canonicalized_away():
@@ -65,6 +65,12 @@ def test_join_terminates_when_both_fixed_and_empty():
     assert out == zset({}, True)
 
 
+def keywise_sum(a: dict, b: dict) -> dict:
+    """Keywise sum of two z-set dicts: sum every key, then drop the zeros."""
+    keys = set(a) | set(b)
+    return {k: a.get(k, 0) + b.get(k, 0) for k in keys if a.get(k, 0) + b.get(k, 0)}
+
+
 small_zsets = st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=6)
 
 
@@ -72,10 +78,10 @@ small_zsets = st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool)
 @given(a=small_zsets, b=small_zsets, a2=small_zsets, b2=small_zsets)
 def test_join_bilinearity(a, b, a2, b2):
     # (a+a') join (b+b') == a*b + a'*b + a*b' + a'*b'
-    whole = batch_zset_join(add_cards(a, a2), add_cards(b, b2))
-    parts = add_cards(
-        add_cards(batch_zset_join(a, b), batch_zset_join(a2, b)),
-        add_cards(batch_zset_join(a, b2), batch_zset_join(a2, b2)),
+    whole = batch_zset_join(keywise_sum(a, a2), keywise_sum(b, b2))
+    parts = keywise_sum(
+        keywise_sum(batch_zset_join(a, b), batch_zset_join(a2, b)),
+        keywise_sum(batch_zset_join(a, b2), batch_zset_join(a2, b2)),
     )
     assert whole == parts
 
@@ -108,17 +114,17 @@ def test_incremental_join_equals_batch(left, right, seed):
     totals = incremental_join_totals(left, right, seed)
     whole_left: dict = {}
     for d in left:
-        whole_left = add_cards(whole_left, d)
+        whole_left = keywise_sum(whole_left, d)
     whole_right: dict = {}
     for d in right:
-        whole_right = add_cards(whole_right, d)
+        whole_right = keywise_sum(whole_right, d)
     assert totals == batch_zset_join(whole_left, whole_right)
 
 
-def test_add_cards_drops_cancelled_keys():
-    a = {1: 2, 2: 1}
-    assert add_cards(a, {1: -2, 3: 0, 4: 5}) == {2: 1, 4: 5} and a == {1: 2, 2: 1}
-    assert add_cards(a, {}) is a
+def test_card_map_plus_drops_cancelled_keys():
+    a = CardMap.of({1: 2, 2: 1})
+    assert a.plus(((1, -2), (3, 0), (4, 5))) == {2: 1, 4: 5} and a == {1: 2, 2: 1}
+    assert a.plus(()) is a
 
 
 def drain_once(op, state, left, right, choice=0):
@@ -145,12 +151,6 @@ def test_join_state_equality_ignores_insertion_order():
     assert ab == ba and hash(ab) == hash(ba)
     assert len({ab, ba, JoinState({2: -1, 1: 2}, {}, False)}) == 1
     assert ab != JoinState({1: 2}, {}, False)
-
-
-def keywise_sum(a: dict, b: dict) -> dict:
-    """Oracle for add_cards: sum every key, then drop the zeros."""
-    keys = set(a) | set(b)
-    return {k: a.get(k, 0) + b.get(k, 0) for k in keys if a.get(k, 0) + b.get(k, 0)}
 
 
 def test_random_drains_keep_stored_sides_equal_to_sums():
@@ -213,6 +213,79 @@ def test_join_sort_key_calls_grow_with_delta_not_state(monkeypatch):
     assert calls <= 2 * len(batches)
 
 
+def drain_each(op, state, left: dict, right: dict, one_key_at_a_time: bool):
+    """``state`` after draining ``left`` and ``right`` in one canonical
+    drain, or one key of one side per drain."""
+    if not one_key_at_a_time:
+        (r,) = op.steps((zset(left), zset(right)), state, False)
+        return r.state
+    empty = zset({})
+    for k, v in left.items():
+        (r,) = op.steps((zset({k: v}), empty), state, False)
+        state = r.state
+    for k, v in right.items():
+        (r,) = op.steps((empty, zset({k: v})), state, False)
+        state = r.state
+    return state
+
+
+def test_join_states_reached_by_different_drain_orders_are_one_state():
+    # Both orders store the same 240 keys a side. One drains everything
+    # at once, so the last drain folds its overlay into the base; the
+    # other ends with ten single-key drains and a cancelled key, which
+    # stay in the overlay, a 0 marking the cancelled base key.
+    op = zset_join(INT)
+    left = {k: k % 5 - 2 or 3 for k in range(240)}
+    right = {k: 1 + k % 3 for k in range(0, 480, 2)}
+    folded = drain_each(op, op.initial_state, left, right, False)
+    head = {k: v for k, v in left.items() if k >= 10}
+    layered = drain_each(op, op.initial_state, {**head, 999: 4}, right, False)
+    layered = drain_each(op, layered, {k: left[k] for k in range(10)}, {}, True)
+    layered = drain_each(op, layered, {999: -4}, {}, True)
+    assert not folded.seen_left.over
+    assert len(layered.seen_left.over) == 11 and layered.seen_left.over[999] == 0
+    plain = JoinState(dict(reversed(left.items())), right, False)
+    for state in (layered, plain):
+        assert state == folded and hash(state) == hash(folded) and repr(state) == repr(folded)
+    assert len({folded, layered, plain}) == 1
+    assert folded.seen_left == left and layered.seen_left == left and len(layered.seen_left) == 240
+    assert layered != JoinState(head, right, False)
+
+
+def _entries_copied(old: CardMap, new: CardMap) -> int:
+    """The dict entries ``old.plus`` copied to make ``new``: its overlay,
+    and the whole base when the overlay was folded into a new one."""
+    if new is old:
+        return 0
+    return len(old.over) + (0 if new.base is old.base else len(new.base))
+
+
+@pytest.mark.parametrize("n", [500, 16_000])
+def test_a_one_key_drain_copies_about_sqrt_of_the_stored_keys(n):
+    # A drain copies only the overlay of the side it updates, folding it
+    # into a new base once it outgrows about sqrt(n): about 1.5*sqrt(n)
+    # entries a drain, amortised, where copying the side costs n.
+    op = zset_join(INT)
+    empty = zset({})
+    state = JoinState({i: 1 for i in range(n)}, {i: 1 for i in range(0, n, 2)}, False)
+    drains, copied = 300, 0
+    for j in range(drains):
+        (r,) = op.steps((zset({n + 2 * j + 1: 1}), empty), state, False)
+        copied += _entries_copied(state.seen_left, r.state.seen_left)
+        copied += _entries_copied(state.seen_right, r.state.seen_right)
+        state = r.state
+    assert len(state.seen_left) == n + drains
+    assert copied / drains <= 2 * n**0.5 + 1, copied / drains
+
+
+def test_concat_keeps_the_buffer_for_an_empty_payload_of_its_fixedness():
+    buf = zset({1: 2, 5: 1})
+    assert concat(buf, Payload(zset({}))) is buf
+    assert concat(buf, Payload(zset({}, True))) == zset({1: 2, 5: 1}, True)
+    for k, v, want in ((3, 1, {1: 2, 3: 1, 5: 1}), (5, -1, {1: 2}), (1, 1, {1: 3, 5: 1}), (9, 4, {1: 2, 5: 1, 9: 4})):
+        assert concat(buf, Payload(zset({k: v}))) == zset(want)
+
+
 def _mixed_zset(rng):
     keys = [rng.randint(-5, 20), f"s{rng.randint(0, 5)}", (rng.randint(0, 3), rng.randint(0, 3))]
     return zset({rng.choice(keys): rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(0, 10))})
@@ -222,7 +295,7 @@ def test_concat_merge_agrees_with_summing_dicts():
     rng = random.Random(41)
     for _ in range(500):
         a, b = _mixed_zset(rng), _mixed_zset(rng)
-        assert concat(a, Payload(b)) == zset(add_cards(a.as_dict(), b.as_dict()))
+        assert concat(a, Payload(b)) == zset(keywise_sum(a.as_dict(), b.as_dict()))
 
 
 def test_concat_sort_key_calls_are_linear_in_batches(monkeypatch):
