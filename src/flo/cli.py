@@ -198,6 +198,12 @@ def cmd_replay(args) -> int:
     return 1 if not report.passed else 0
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flo", description="Streaming dataflow kernel: typecheck, run, and verify graphs"
@@ -216,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="write an event log (JSON lines)")
     p.set_defaults(fn=cmd_run)
 
-    default_cap = int(os.environ.get("FLO_MAX_CONFIGS", "100000"))
+    # A string default goes through ``type`` too, when the option is not given.
+    cap = {"type": _positive, "default": os.environ.get("FLO_MAX_CONFIGS", "100000")}
 
     p = sub.add_parser("check", help="check a behavioral property")
     p.add_argument("graph", nargs="?")
@@ -226,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*_CASE_CHECKS, "determinism", "all"],
         default="all",
     )
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=_positive, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--inputs",
@@ -234,19 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
         "for a graph or an --operator (default: values drawn from --seed)",
     )
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--max-configs", type=int, default=default_cap)
+    p.add_argument("--max-configs", **cap)
     p.add_argument("--counterexample", help="write a replayable counterexample on failure")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("explore", help="exhaustively explore schedules of a graph")
     p.add_argument("graph")
     p.add_argument("--inputs")
-    p.add_argument("--max-configs", type=int, default=default_cap)
+    p.add_argument("--max-configs", **cap)
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("replay", help="re-execute a recorded counterexample")
     p.add_argument("file")
-    p.add_argument("--max-configs", type=int, default=default_cap)
+    p.add_argument("--max-configs", **cap)
     p.set_defaults(fn=cmd_replay)
 
     return parser

@@ -26,16 +26,16 @@ to each of its successors goes through one successor function,
 ``enabled_steps`` order, fetching each leaf's outcomes once. The explorer,
 the eager check, the lasso and ``nest``'s exhaustive step use it, and
 ``step_graph`` is a lookup over it. Every run goes through one stepping
-kernel, ``_kernel``: ``run_steps`` and ``trajectory``. ``step_first``, for
+kernel, ``_kernel``: ``run_steps`` and the rank check. ``step_first``, for
 ``nest``'s one step at a time, takes the kernel's first step through the
 kernel's own scan (``_scan``) and step (``_take``), without a generator.
 A scheduler only decides which of the ``n`` enabled steps runs next, so a
 picker is ``picker(n) -> index or None``, and the kernel keeps one step
 count per leaf, re-counting only the leaves a step touched. It holds the
 run's nodes in a list, resumes a picker-less scan at the leaf it last
-stepped, and builds a graph only when its caller needs one
-(``run_steps`` once per call, ``trajectory`` once per step). Across
-calls, a compiled graph carries a stuck-prefix hint: ``step_first``
+stepped, and builds no graph: ``run_steps`` builds one per call, and
+the rank check one only for a report. Across calls, a compiled graph
+carries a stuck-prefix hint: ``step_first``
 gives its result the stepped leaf, a picker-less scan starts there, and
 ``set_inputs`` and ``nested.set_defer`` lower it to the first leaf they
 replace. So ``nest``'s inner steps resume where the last one stopped
@@ -329,7 +329,7 @@ class Plan:
     n_in: int  # number of exterior inputs
     blank: tuple  # one EMPTY per graph output
     direct: tuple  # per leaf: its output ports are the graph outputs, in order
-    touched: tuple  # per leaf: the leaves a step there may replace: itself, then those its wires feed
+    touched: tuple  # per leaf: the leaves a step there may replace, in tree order: itself, then those its wires feed
     reads: tuple  # (read_defer key, leaf) in tree order
     writes: tuple  # (write_defer key, leaf) in tree order
 
@@ -417,7 +417,7 @@ def _plan(e) -> tuple:
         n_in=len(ins),
         blank=(EMPTY,) * len(outs),
         direct=tuple(w == graph_outs for w in wires),
-        touched=tuple(tuple(dict.fromkeys([i] + [j for j, _b in w if j >= 0])) for i, w in enumerate(wires)),
+        touched=tuple(tuple(sorted({i, *(j for j, _b in w if j >= 0)})) for i, w in enumerate(wires)),
         reads=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_reads),
         writes=tuple((k, i) for i, n in enumerate(leaves) for k, _t in n.op.defer_writes),
     )
@@ -666,7 +666,7 @@ def step_first(e):
     """Fast path: apply the first enabled step in tree order, if any.
 
     Returns (graph', deltas, choice) or None when stuck: the kernel's
-    first step, as ``trajectory(e, cap=1)`` yields it, taken through the
+    first step, the one ``_kernel(g, None, 1)`` takes, through the
     kernel's own ``_scan`` and ``_take`` without a generator, because
     ``nest`` calls it once per inner step. The scan starts at the graph's
     stuck-prefix hint, and the graph returned carries the stepped leaf as
@@ -689,7 +689,7 @@ def apply_outputs(outputs: tuple, deltas: tuple) -> tuple:
 
 
 def _kernel(g: FlatGraph, picker: Optional[Callable], cap: Optional[int]):
-    """The stepping kernel under ``run_steps``, ``trajectory`` and
+    """The stepping kernel under ``run_steps``, the rank check and
     ``step_first``. Yields (nodes, leaf, choice index, outcome, written)
     per step: ``nodes`` is the run's own list of nodes, replaced in place,
     and ``written`` the (port, delta) pairs the step wrote to graph
@@ -737,22 +737,6 @@ def _kernel(g: FlatGraph, picker: Optional[Callable], cap: Optional[int]):
                 counts[j] = c
         yield nodes, i, k, r, written
         steps += 1
-
-
-def trajectory(e, picker: Optional[Callable] = None, cap: Optional[int] = None):
-    """The run loop: yield (graph', deltas, choice) for each step.
-
-    ``picker(n)`` picks one of the ``n`` enabled steps by its index in
-    ``enabled_steps`` order, or returns None to stop; without a picker the
-    first enabled step in tree order is taken. The loop ends at a stuck
-    graph or after ``cap`` steps, without looking for a further step. Each
-    step builds its graph, for callers that look at every configuration;
-    ``run_steps`` builds one.
-    """
-    g = compile_graph(e)
-    plan = g.plan
-    for nodes, i, k, r, written in _kernel(g, picker, cap):
-        yield FlatGraph(plan, tuple(nodes)), _deltas(plan, i, r, written), StepChoice(i, k)
 
 
 @record
@@ -808,7 +792,7 @@ def run_to_stuck(
     """Run until no step applies, folding emissions into the outputs.
 
     ``picker(n)`` picks one of the ``n`` enabled steps by index, as
-    ``trajectory`` says; None uses the first enabled step in tree order.
+    ``_kernel`` says; None uses the first enabled step in tree order.
     The budget is a fixed cap on work: a run still going after
     ``budget + 1`` steps raises StepBudgetExceeded, which reports the
     cap, the steps taken and the graph's current rank.
@@ -874,25 +858,25 @@ def explore_all(e, outputs: tuple, max_configs: int = 100_000) -> ExploreResult:
 # graph rank
 
 
+def leaf_rank(n: Node) -> tuple:
+    """A leaf's rank components, padded with zeros to ``rank_arity`` so its
+    width never changes along a run; a longer rank raises RankViolation."""
+    r = n.op.rank(n.buffers, n.state).components
+    arity = n.op.rank_arity
+    if len(r) > arity:
+        raise RankViolation(f"{n.op.name}: rank has {len(r)} components, rank_arity is {arity}")
+    return r + (0,) * (arity - len(r))
+
+
 def graph_rank(e) -> Rank:
-    """Left-to-right concatenation of node ranks.
+    """Left-to-right concatenation of the leaves' ``leaf_rank``.
 
     Stepping any node strictly decreases its own components while leaving
     everything to its left untouched, so the concatenation decreases
     lexicographically even when a sequence-left step refills buffers on
-    the right. A node rank shorter than its operator's ``rank_arity`` is
-    padded with zeros; a longer one raises RankViolation.
+    the right.
     """
-    comps: list = []
-    for g in compile_graph(e).nodes:
-        r = g.op.rank(g.buffers, g.state).components
-        arity = g.op.rank_arity
-        if len(r) > arity:
-            raise RankViolation(
-                f"{g.op.name}: rank has {len(r)} components, rank_arity is {arity}"
-            )
-        comps.extend(r + (0,) * (arity - len(r)))
-    return Rank(tuple(comps))
+    return Rank(tuple(c for n in compile_graph(e).nodes for c in leaf_rank(n)))
 
 
 def budget_message(budget: int, steps: int, e) -> str:

@@ -27,6 +27,7 @@ from typing import Optional
 from .core import (
     B,
     OperatorDef,
+    Rank,
     StepBudgetExceeded,
     bottom,
     concat,
@@ -35,19 +36,20 @@ from .core import (
     member,
 )
 from .graph import (
+    FlatGraph,
+    _kernel,
     apply_outputs,
     budget_message,
     compile_graph,
     explore_all,
-    graph_rank,
     inputs,
+    leaf_rank,
     node,
     out_types,
     run_steps,
     run_to_stuck,
     set_inputs,
     successors,
-    trajectory,
 )
 from .scheduler import RandomSched, RunResult, make_picker, run_trace
 
@@ -84,9 +86,9 @@ def _as_graph(base, out_tys, buffers: tuple):
     return set_inputs(base, buffers), tuple(bottom(st.collection) for st in out_tys)
 
 
-def _shown(g, choice) -> str:
-    """A choice as a report prints it: by its leaf's path in ``g``."""
-    return f"StepChoice(path={tuple(g.plan.where(choice.leaf)[0])!r}, index={choice.index})"
+def _shown(g, leaf: int, index: int) -> str:
+    """A step choice as a report prints it: by its leaf's path in ``g``."""
+    return f"StepChoice(path={tuple(g.plan.where(leaf)[0])!r}, index={index})"
 
 
 def _schedule(g, choices) -> list:
@@ -116,7 +118,7 @@ def check_eager(subject, cases, budget: int = 4000) -> PropertyReport:
             if stuck != target:
                 cx = {
                     "case": case,
-                    "choice": _shown(g0, choice),
+                    "choice": _shown(g0, choice.leaf, choice.index),
                     "stuck_after_step": stuck,
                     "stuck_delta_first": target,
                 }
@@ -177,41 +179,51 @@ def check_rank_and_preservation(subject, cases, budget: int = 4000, seed: int = 
     schedule; a run still going after ``budget + 1`` steps raises
     StepBudgetExceeded, as ``run_to_stuck`` does, since a fixed cap says
     nothing about the rank.
+
+    A step at leaf ``i`` replaces only ``plan.touched[i]``, and ``leaf_rank``
+    has a fixed width, so after the first step only the touched leaves (in
+    tree order) and the outputs the step wrote are re-ranked and re-typed.
     """
     base, outs_types = _compiled(subject)
     pick = make_picker(RandomSched(seed))
     n = 0
     for n, case in enumerate(cases, 1):
         g, outs = _as_graph(base, outs_types, case.buffers)
-        before = None  # the rank of g, carried over from the previous step
-        steps = 0
-        for g2, deltas, choice in trajectory(g, pick, budget + 1):
-            if before is None:
-                before = graph_rank(g)
-            after = graph_rank(g2)
-            if not after < before:
-                cx = {"case": case, "choice": _shown(g, choice), "before": before, "after": after}
+        nodes, outs, steps = g.nodes, list(outs), 0
+        for nodes, i, k, _r, written in _kernel(g, pick, budget + 1):
+            touched = base.plan.touched[i]
+            if steps:
+                ports, leaves = [port for port, _d in written], [nodes[j] for j in touched]
+            else:
+                ranks = [leaf_rank(nd) for nd in g.nodes]  # per leaf, as of the last step
+                ports, leaves = range(len(outs)), nodes
+            old = [ranks[j] for j in touched]
+            new = [leaf_rank(nodes[j]) for j in touched]
+            before = None if new < old else Rank(sum(ranks, ()))
+            for j, r in zip(touched, new):
+                ranks[j] = r
+            if before is not None:
+                cx = {"case": case, "choice": _shown(base, i, k), "before": before, "after": Rank(sum(ranks, ()))}
                 return PropertyReport("RankDescent", "Fail", n, cx, {"reason": "rank did not decrease"})
-            outs = apply_outputs(outs, deltas)
-            left = _left_type(outs_types, outs, g2)
+            for port, d in written:
+                outs[port] = concat(outs[port], d)
+            left = _left_type(outs_types, outs, ports, leaves)
             if left is not None:
                 info, reason = left
-                cx = {"case": case, "choice": _shown(g, choice), **info}
+                cx = {"case": case, "choice": _shown(base, i, k), **info}
                 return PropertyReport("Preservation", "Fail", n, cx, {"reason": reason})
-            g, before = g2, after
             steps += 1
         if steps > budget:
-            raise StepBudgetExceeded(budget_message(budget, steps, g))
+            raise StepBudgetExceeded(budget_message(budget, steps, FlatGraph(base.plan, tuple(nodes))))
     return PropertyReport("RankDescent", "Pass", n)
 
 
-def _left_type(out_types, outs, g):
-    """(info, reason) for an output or a leaf buffer of ``g`` outside its
-    collection type, or None."""
-    for st, value in zip(out_types, outs):
-        if not member(value, st.collection):
-            return {"output": value}, "output left its collection type"
-    for leaf in g.nodes:
+def _left_type(out_types, outs, ports, leaves):
+    """(info, reason) for the first of ``ports``, else of ``leaves``' buffers, outside its type, or None."""
+    for port in ports:
+        if not member(outs[port], out_types[port].collection):
+            return {"output": outs[port]}, "output left its collection type"
+    for leaf in leaves:
         for st, buf in zip(leaf.op.inputs, leaf.buffers):
             if not member(buf, st.collection):
                 return {"buffer": buf}, "input buffer left its collection type"

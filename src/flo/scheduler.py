@@ -31,9 +31,9 @@ from .core import (
 )
 from .graph import (
     FlatGraph,
+    _scan,
     budget_message,
     compile_graph,
-    enabled_steps,
     in_types,
     inputs,
     run_steps,
@@ -50,7 +50,7 @@ SAFETY_CAP = 200_000
 
 
 # A schedule makes the picker that drives a run: ``picker()`` returns a
-# fresh callable ``pick(n)``, the protocol of ``graph.trajectory``. Given
+# fresh callable ``pick(n)``, the protocol of ``graph._kernel``. Given
 # the number of enabled steps, it returns the index of one in
 # ``enabled_steps`` order, or None to stop, and the run raises
 # InvalidChoice for an index outside ``[0, n)``. A picker keeps its own
@@ -176,10 +176,10 @@ class RunResult:
 
 def _run_steps(graph, outputs, picker, budget, log, iteration):
     """Take up to ``budget`` steps; with no budget, a graph that can still
-    step after ``SAFETY_CAP`` steps is an error."""
+    step (by the kernel's count) after ``SAFETY_CAP`` steps is an error."""
     cap = SAFETY_CAP if budget is None else budget
     graph, outputs, steps = run_steps(graph, outputs, picker, cap, log, iteration)
-    if budget is None and steps == cap and enabled_steps(graph):
+    if budget is None and steps == cap and _scan(graph.nodes, 0)[1]:
         raise StepBudgetExceeded(budget_message(cap, steps, graph))
     return graph, outputs, steps
 

@@ -187,6 +187,21 @@ class TestCheck:
         assert main(["check", "--property", "eager"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--cases", "-3"],
+            ["--cases", "0"],
+            ["--cases", "two"],
+            ["--property", "determinism", "--exhaustive", "--max-configs", "-1"],
+        ],
+        ids=["negative-cases", "zero-cases", "word-cases", "negative-max-configs"],
+    )
+    def test_a_count_that_is_not_positive_is_a_usage_error(self, capsys, args):
+        assert main(["check", "--operator", "map", *args]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "is not a positive integer" in out.err
+
 
 class TestExplore:
     def test_unique_stuck_state(self, tmp_path, capsys):
@@ -265,6 +280,20 @@ def test_env_var_overrides_config_cap(tmp_path, capsys, monkeypatch):
     # cap of 10 cannot be hit by a 3-element scan, it has 4 configs;
     # but the option must parse from the env without error
     assert code == 0 and out["configs"] <= 10
+
+
+@pytest.mark.parametrize("env, args", [("abc", []), ("-5", []), ("10", ["--max-configs", "0"])])
+def test_a_max_configs_that_is_not_positive_is_a_usage_error(tmp_path, capsys, monkeypatch, env, args):
+    monkeypatch.setenv("FLO_MAX_CONFIGS", env)
+    assert main(["explore", write(tmp_path, "g.json", fold_graph()), *args]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "is not a positive integer" in out.err
+
+
+def test_a_bad_env_cap_is_not_read_when_the_option_is_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FLO_MAX_CONFIGS", "abc")
+    assert main(["explore", write(tmp_path, "g.json", fold_graph()), "--max-configs", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["configs"] == 1
 
 
 def reachability_graph_json():

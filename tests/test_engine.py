@@ -53,7 +53,6 @@ from flo.graph import (
     set_inputs,
     step_first,
     step_graph,
-    trajectory,
 )
 from flo.harness import OpCase, check_determinism, check_rank_and_preservation
 from flo.nested import RUNNING_PHASE, NestedSeqValue, NestState, make_nest
@@ -538,8 +537,8 @@ def test_a_pick_is_an_index_in_enabled_steps_order():
         seen.append(n)
         return n - 1
 
-    ((_g2, _deltas, choice),) = trajectory(g, last, cap=1)
-    assert seen == [2] and choice == enabled_steps(g)[1] == StepChoice(1, 0)
+    ((_nodes, i, k, _r, _written),) = graph_module._kernel(g, last, 1)
+    assert seen == [2] and StepChoice(i, k) == enabled_steps(g)[1] == StepChoice(1, 0)
 
 
 @pytest.mark.parametrize("pick", [-1, 2, 5])
@@ -640,18 +639,19 @@ def test_event_log_shares_one_event_per_choice_and_iteration():
 
 def dict_run_steps(e, outputs, picker=None, cap=None, log=None, iteration=None):
     """``run_steps`` logging a fresh ``--log`` dict per step, built straight
-    from what ``trajectory`` yields."""
+    from what the stepping kernel yields."""
     g, steps = compile_graph(e), 0
-    for g, deltas, choice in trajectory(g, picker, cap):
-        outputs = apply_outputs(outputs, deltas)
+    nodes = g.nodes
+    for nodes, i, k, r, written in graph_module._kernel(g, picker, cap):
+        outputs = apply_outputs(outputs, graph_module._deltas(g.plan, i, r, written))
         if log is not None:
-            label, rules = g.plan.where(choice.leaf)
-            entry = {"path": label, "choice": choice.index, "rules": list(rules)}
+            label, rules = g.plan.where(i)
+            entry = {"path": label, "choice": k, "rules": list(rules)}
             if iteration is not None:
                 entry["iter"] = iteration
             log.append(entry)
         steps += 1
-    return g, outputs, steps
+    return graph_module.FlatGraph(g.plan, tuple(nodes)), outputs, steps
 
 
 def seq_batches():

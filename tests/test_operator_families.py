@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from flo.core import EMPTY, FINISHED, INT, RUNNING, TERMINATOR, FloError, Payload, Rank, StepResult, concat
-from flo.graph import Node, compile_graph, node, run_steps, step_first, trajectory
+from flo.graph import Node, _kernel, compile_graph, node, run_steps, step_first
 from flo.lvar import LVarValue, fold_lattice
 from flo.opcatalog import REGISTRY, coin, sample_cases
 from flo.scheduler import RandomSched, RoundRobin, make_picker
@@ -321,17 +321,17 @@ def walked_nodes(op):
     for kind in ("eager", "progress", "rank"):
         for case in sample_cases(op.inputs, kind, 150, seed=11):
             for new_picker in pickers:
-                g = compile_graph(node(bare, case.buffers))
-                yield g.nodes[0]
-                for g, _deltas, _choice in trajectory(g, new_picker(), cap=10_000):
-                    yield g.nodes[0]
+                stuck = node(bare, case.buffers)
+                yield stuck
+                for nodes, *_step in _kernel(compile_graph(stuck), new_picker(), 10_000):
+                    stuck = nodes[0]
+                    yield stuck
                 if case.delta:
                     # Feed the case's delta at the stuck state and run on from there.
-                    stuck = g.nodes[0]
                     fed = Node(tuple(concat(b, d) for b, d in zip(stuck.buffers, case.delta)), bare, stuck.state)
                     yield fed
-                    for g, _deltas, _choice in trajectory(fed, new_picker(), cap=10_000):
-                        yield g.nodes[0]
+                    for nodes, *_step in _kernel(compile_graph(fed), new_picker(), 10_000):
+                        yield nodes[0]
 
 
 def miscounted(op, enabled):
