@@ -62,7 +62,7 @@ def cmd_run(args) -> int:
     gt = typecheck(graph)
     trace = decode_trace(_load_json(args.trace), gt.inputs)
     sched = RandomSched(args.seed) if args.schedule == "random" else RoundRobin()
-    result = run_trace(graph, trace, sched, drain_seed=args.seed)
+    result = run_trace(graph, trace, sched)
     if args.log:
         with open(args.log, "w") as fh:
             for ev in result.log:
@@ -141,9 +141,8 @@ def cmd_explore(args) -> int:
         graph = set_inputs(graph, _decode_inputs(_load_json(args.inputs), gt.inputs))
     outs = tuple(bottom(st.collection) for st in gt.outputs)
     res = explore_all(graph, outs, max_configs=args.max_configs)
-    distinct = len(dict.fromkeys(res.stuck))
-    unique = distinct == 1 and not res.capped
-    _emit({"configs": res.visited, "stuck": distinct, "capped": res.capped, "unique": unique})
+    unique = len(res.stuck) == 1 and not res.capped
+    _emit({"configs": res.visited, "stuck": len(res.stuck), "capped": res.capped, "unique": unique})
     return 0 if unique else 1
 
 

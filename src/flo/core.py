@@ -205,9 +205,9 @@ class ElemType:
     and ``pair`` cover every operator in the standard library. Membership
     is decidable so collection-type membership is decidable.
 
-    ``check`` is ``matches`` compiled once, at construction, into one
-    predicate; collection ``member`` looks it up once per value and calls
-    it per element.
+    ``check`` is the membership predicate, compiled once, at construction;
+    collection ``member`` looks it up once per value and calls it per
+    element. An unknown name raises FloError when it is checked.
     """
 
     name: str
@@ -217,26 +217,6 @@ class ElemType:
     def __post_init__(self):
         object.__setattr__(self, "check", _compile_elem(self))
 
-    def matches(self, value) -> bool:
-        if self.name == "any":
-            return True
-        if self.name == "int":
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self.name == "nat":
-            return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-        if self.name == "bool":
-            return isinstance(value, bool)
-        if self.name == "str":
-            return isinstance(value, str)
-        if self.name == "pair":
-            return (
-                isinstance(value, tuple)
-                and len(value) == 2
-                and self.args[0].matches(value[0])
-                and self.args[1].matches(value[1])
-            )
-        raise FloError(f"unknown element type {self.name!r}")
-
     def __str__(self):
         if self.args:
             return f"{self.name}<{','.join(str(a) for a in self.args)}>"
@@ -244,7 +224,7 @@ class ElemType:
 
 
 def _compile_elem(t: ElemType) -> Callable:
-    """One predicate equivalent to ``t.matches``."""
+    """The one definition of element-type membership, as a predicate."""
     name = t.name
     if name == "any":
         return lambda v: True
@@ -259,7 +239,11 @@ def _compile_elem(t: ElemType) -> Callable:
     if name == "pair" and len(t.args) == 2 and all(isinstance(a, ElemType) for a in t.args):
         first, second = t.args[0].check, t.args[1].check
         return lambda v: isinstance(v, tuple) and len(v) == 2 and first(v[0]) and second(v[1])
-    return t.matches  # raises FloError for an unknown name, as matches does
+
+    def unknown(v):
+        raise FloError(f"unknown element type {t.name!r}")
+
+    return unknown
 
 
 ANY = ElemType("any")
@@ -464,7 +448,7 @@ class CollectionLanguage:
         return value.fixed
 
     def fix(self, value):
-        raise NotImplementedError
+        return self.concat(value, TERMINATOR)
 
     def bottom(self, tag: Tag):
         """The language's neutral starting value for the given tag.
@@ -495,16 +479,12 @@ class CollectionLanguage:
             return TERMINATOR
         return Payload(self.sample_payload(tag, rng, current))
 
-    # Content consumption: used by pass-through operators (tee, forward,
-    # zip) that stream a buffer onward. Returns (delta, residue) where the
-    # delta carries all current content without fixedness and the residue
-    # keeps the buffer's fixedness flag, or None if there is no content,
-    # which is exactly when ``content_size`` is 0.
-    supports_take = False
-
-    def take_content(self, value):
-        return None
-
+    # Content consumption: pass-through operators (tee, forward, zip)
+    # stream a buffer onward through ``take_content(value)``, which a
+    # language that supports them defines. It returns (delta, residue)
+    # where the delta carries all current content without fixedness and
+    # the residue keeps the buffer's fixedness flag, or None if there is
+    # no content, which is exactly when ``content_size`` is 0.
     def content_size(self, value) -> int:
         raise NotImplementedError
 

@@ -262,16 +262,15 @@ def check_determinism(
     if mode == "exhaustive":
         res = explore_all(g, outs, max_configs=max_configs)
         if not res.capped:
-            distinct = list(dict.fromkeys(res.stuck))
-            details = {"configs": res.visited, "stuck": len(distinct)}
-            if len(distinct) == 1:
+            details = {"configs": res.visited, "stuck": len(res.stuck)}
+            if len(res.stuck) == 1:
                 return PropertyReport("Determinism", "Pass", 1, None, details)
-            if not distinct:
+            if not res.stuck:
                 schedule, cycle = _lasso(g, outs)
                 details["reason"] = "no schedule reaches a stuck configuration"
                 cx = {"inputs": case_inputs, "schedule": _schedule(g, schedule), "cycle": _schedule(g, cycle)}
                 return PropertyReport("Determinism", "Fail", 1, cx, details)
-            first, second = distinct[0], distinct[1]
+            first, second = res.stuck[0], res.stuck[1]
             return PropertyReport(
                 "Determinism",
                 "Fail",

@@ -43,7 +43,7 @@ from .core import (
     register_language,
 )
 from . import catalog
-from .seq import SeqValue, _finish, _per_item, seq_tag
+from .seq import _finish, _flag, _one, _per_item, seq, seq_tag
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ class MaxNat(Lattice):
         return 0
 
     def member(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+        return NAT.check(x)
 
     def sample(self, rng):
         return rng.randint(0, 20)
@@ -189,9 +189,6 @@ class LVarLanguage(CollectionLanguage):
             return LVarValue(value.lattice, joined, d.fixed)
         raise PayloadShapeMismatch(f"lvar cannot absorb {delta!r}")
 
-    def fix(self, value):
-        return LVarValue(value.lattice, value.value, True)
-
     def bottom(self, tag):
         return LVarValue(tag.params[0], lattice(tag.params[0]).bottom, False)
 
@@ -290,14 +287,7 @@ def thresh(lattice_id: str, thresholds: tuple, bound: Bound = U) -> OperatorDef:
         if state.phase == WATCHING:
             t = reached(inp.value)
             if t is not None:
-                return [
-                    StepResult(
-                        buffers,
-                        ThreshState(FIRED),
-                        (Payload(SeqValue(False, (t,))),),
-                        "lvar-threshold",
-                    )
-                ]
+                return [StepResult(buffers, ThreshState(FIRED), (_one(t),), "lvar-threshold")]
             if inp.fixed:
                 return [
                     StepResult(buffers, ThreshState(CLOSED), (TERMINATOR,), "lvar-threshold-terminated")
@@ -329,43 +319,46 @@ def thresh(lattice_id: str, thresholds: tuple, bound: Bound = U) -> OperatorDef:
     )
 
 
+def _read_whole(name: str, lattice_id: str, bound: Bound, params: dict, wait: bool) -> OperatorDef:
+    """Read a whole LVar once as a one-item sequence: with ``wait``, after
+    it fixes and terminated; without, at once and left open."""
+    lat = lattice(lattice_id)
+    rule = name.replace("_", "-")
+
+    def ready(buffers, state):
+        return not state.done and (buffers[0].fixed or not wait)
+
+    def steps(buffers, state, exhaustive):
+        if ready(buffers, state):
+            delta = Payload(seq(buffers[0].value, terminated=wait))
+            return [StepResult(buffers, FINISHED, (delta,), rule)]
+        return []
+
+    def enabled(buffers, state):
+        return 1 if ready(buffers, state) else 0
+
+    def rank(buffers, state):
+        return Rank((_flag(state.done),))
+
+    return OperatorDef(
+        name=name,
+        inputs=(StreamType(lvar_tag(lattice_id), bound),),
+        outputs=(StreamType(seq_tag(lat.elem_type), bound),),
+        initial_state=RUNNING,
+        steps_fn=steps,
+        rank_fn=rank,
+        params=params,
+        enabled_fn=enabled,
+    )
+
+
 def to_sequence(lattice_id: str, *, _bound: Bound = B) -> OperatorDef:
     """Read a whole LVar as a one-element bounded sequence, after it fixes.
 
     Bounded-only by type: on an unbounded input the value might never fix
     and the withheld output would break progress.
     """
-    lat = lattice(lattice_id)
-
-    def steps(buffers, state, exhaustive):
-        (inp,) = buffers
-        if inp.fixed and not state.done:
-            return [
-                StepResult(
-                    buffers,
-                    FINISHED,
-                    (Payload(SeqValue(True, (inp.value,))),),
-                    "to-sequence",
-                )
-            ]
-        return []
-
-    def enabled(buffers, state):
-        return 1 if buffers[0].fixed and not state.done else 0
-
-    def rank(buffers, state):
-        return Rank((0 if state.done else 1,))
-
-    return OperatorDef(
-        name="to_sequence",
-        inputs=(StreamType(lvar_tag(lattice_id), _bound),),
-        outputs=(StreamType(seq_tag(lat.elem_type), _bound),),
-        initial_state=RUNNING,
-        steps_fn=steps,
-        rank_fn=rank,
-        params={"lattice": lattice_id},
-        enabled_fn=enabled,
-    )
+    return _read_whole("to_sequence", lattice_id, _bound, {"lattice": lattice_id}, wait=True)
 
 
 def to_sequence_naive(lattice_id: str, bound: Bound = U) -> OperatorDef:
@@ -375,37 +368,8 @@ def to_sequence_naive(lattice_id: str, bound: Bound = U) -> OperatorDef:
     versus after the step yields different stuck outputs. Kept as the
     canonical eager-execution failure.
     """
-    lat = lattice(lattice_id)
-
-    def steps(buffers, state, exhaustive):
-        (inp,) = buffers
-        if not state.done:
-            return [
-                StepResult(
-                    buffers,
-                    FINISHED,
-                    (Payload(SeqValue(False, (inp.value,))),),
-                    "to-sequence-naive",
-                )
-            ]
-        return []
-
-    def enabled(buffers, state):
-        return 0 if state.done else 1
-
-    def rank(buffers, state):
-        return Rank((0 if state.done else 1,))
-
-    return OperatorDef(
-        name="to_sequence_naive",
-        inputs=(StreamType(lvar_tag(lattice_id), bound),),
-        outputs=(StreamType(seq_tag(lat.elem_type), bound),),
-        initial_state=RUNNING,
-        steps_fn=steps,
-        rank_fn=rank,
-        params={"lattice": lattice_id, "bound": bound.value},
-        enabled_fn=enabled,
-    )
+    params = {"lattice": lattice_id, "bound": bound.value}
+    return _read_whole("to_sequence_naive", lattice_id, bound, params, wait=False)
 
 
 def to_sequence_unbounded(lattice_id: str) -> OperatorDef:

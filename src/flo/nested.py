@@ -142,12 +142,10 @@ class NestedLanguage(CollectionLanguage):
         return value.terminated
 
     def fix(self, value):
-        from .core import fix as fix_inner
-
         if not value.tuples:
             return NestedSeqValue(True, (), value.inner_types)
         newest = tuple(
-            (fix_inner(c) if st.bound is B else c)
+            (fix(c) if st.bound is B else c)
             for c, st in zip(value.tuples[0], value.inner_types)
         )
         return NestedSeqValue(True, (newest,) + value.tuples[1:], value.inner_types)

@@ -20,7 +20,6 @@ from .core import (
     INT,
     OperatorDef,
     ParseError,
-    Payload,
     Rank,
     StepResult,
     StreamType,
@@ -41,7 +40,7 @@ from .nested import make_nest, read_defer, write_defer
 from .programs import fold_pipeline
 from .seq import (
     SEQ,
-    SeqValue,
+    _one,
     fold,
     forward,
     last,
@@ -138,8 +137,8 @@ def coin(elem: ElemType = INT, bound: Bound = U) -> OperatorDef:
             return []
         x, rest = taken
         return [
-            StepResult((rest,), state, (Payload(SeqValue(False, (x,))),), "coin-heads"),
-            StepResult((rest,), state, (Payload(SeqValue(False, (x + 100,))),), "coin-tails"),
+            StepResult((rest,), state, (_one(x),), "coin-heads"),
+            StepResult((rest,), state, (_one(x + 100),), "coin-tails"),
         ]
 
     def enabled(buffers, state):

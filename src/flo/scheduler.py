@@ -196,8 +196,9 @@ def loop_iteration(
 ):
     """One turn of the loop; returns the new config and the drained portions.
 
-    A batch that leaves an input buffer outside its collection type raises
-    BatchShapeMismatch."""
+    ``drain_rng``, when given, draws a random drain's portion in place of
+    a generator seeded by its ``DrainRandom.seed``. A batch that leaves an
+    input buffer outside its collection type raises BatchShapeMismatch."""
     graph = cfg.graph
     ins = inputs(graph)
     if len(batch.deltas) != len(ins):
@@ -220,19 +221,19 @@ def loop_iteration(
     return LoopConfig(graph, tuple(remaining)), tuple(drained)
 
 
-def run_trace(graph, trace, sched=RoundRobin(), drain_seed: int = 0) -> RunResult:
-    """Fold the loop over a trace of batches; every step lands in the log."""
+def run_trace(graph, trace, sched=RoundRobin()) -> RunResult:
+    """Fold the loop over a trace of batches; every step lands in the log.
+    A random drain draws its portion from its own ``DrainRandom.seed``."""
     graph = compile_graph(graph)
     gt = typecheck(graph)
     picker = make_picker(sched)
-    drain_rng = random.Random(drain_seed)
     cfg = LoopConfig(graph, tuple(bottom(st.collection) for st in gt.outputs))
     totals = tuple(bottom(st.collection) for st in gt.outputs)
     log: list = []
     drained_history = []
     for i, step in enumerate(trace):
         cfg, drained = loop_iteration(
-            cfg, step.batch, picker, step.steps, step.drain, drain_rng, log, i
+            cfg, step.batch, picker, step.steps, step.drain, None, log, i
         )
         drained_history.append(drained)
         totals = tuple(

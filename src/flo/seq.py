@@ -107,9 +107,6 @@ class SeqLanguage(CollectionLanguage):
     def is_fixed(self, value):
         return value.terminated
 
-    def fix(self, value):
-        return SeqValue(True, value.items)
-
     def bottom(self, tag):
         return SeqValue(False, ())
 
@@ -129,8 +126,6 @@ class SeqLanguage(CollectionLanguage):
     def sample_payload(self, tag, rng, current):
         items = tuple(gen_atom(tag.params[0], rng) for _ in range(rng.randint(1, 3)))
         return SeqValue(rng.random() < 0.2, items)
-
-    supports_take = True
 
     def take_content(self, value):
         if not value.items:
@@ -190,9 +185,7 @@ class NatLanguage(CollectionLanguage):
     name = "nat"
 
     def member(self, value, tag):
-        return isinstance(value, SingletonNat) and (
-            value.value is None or (isinstance(value.value, int) and value.value >= 0)
-        )
+        return isinstance(value, SingletonNat) and (value.value is None or NAT.check(value.value))
 
     def concat(self, value, delta):
         if delta is TERMINATOR:
@@ -206,9 +199,6 @@ class NatLanguage(CollectionLanguage):
             merged = value.value if value.value is not None else d.value
             return SingletonNat(merged, value.fixed or d.fixed)
         raise PayloadShapeMismatch(f"nat singleton cannot absorb {delta!r}")
-
-    def fix(self, value):
-        return SingletonNat(value.value, True)
 
     def bottom(self, tag):
         return SingletonNat(None, False)
@@ -229,8 +219,6 @@ class NatLanguage(CollectionLanguage):
     def sample_payload(self, tag, rng, current):
         held = getattr(current, "value", None)
         return SingletonNat(held if held is not None else rng.randint(0, 3), rng.random() < 0.3)
-
-    supports_take = True
 
     def take_content(self, value):
         if value.value is None:
@@ -493,7 +481,7 @@ def window(interval: int, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef
 
 def _require_take(tag: Tag, opname: str):
     lang = LANGUAGES[tag.language]
-    if not lang.supports_take:
+    if not hasattr(lang, "take_content"):
         raise FloError(f"{opname} does not support {tag.language} inputs")
     return lang
 

@@ -97,9 +97,6 @@ class SetLanguage(CollectionLanguage):
             return out if value.elems else _carry(out, d)
         raise PayloadShapeMismatch(f"set cannot absorb {delta!r}")
 
-    def fix(self, value):
-        return _carry(SetValue(value.elems, True), value)
-
     def bottom(self, tag):
         return SetValue(frozenset(), False)
 
@@ -119,8 +116,6 @@ class SetLanguage(CollectionLanguage):
     def sample_payload(self, tag, rng, current):
         elems = frozenset(gen_atom(tag.params[0], rng) for _ in range(rng.randint(1, 3)))
         return SetValue(elems, rng.random() < 0.15)
-
-    supports_take = True
 
     def take_content(self, value):
         if not value.elems:

@@ -135,9 +135,6 @@ class ZSetLanguage(CollectionLanguage):
             return ZSetValue(merge_cards(value.cards, d.cards), d.fixed)
         raise PayloadShapeMismatch(f"zset cannot absorb {delta!r}")
 
-    def fix(self, value):
-        return ZSetValue(value.cards, True)
-
     def bottom(self, tag):
         return ZSetValue((), False)
 
@@ -159,8 +156,6 @@ class ZSetLanguage(CollectionLanguage):
     def sample_payload(self, tag, rng, current):
         keys = _draw_keys(tag, rng, rng.randint(1, 3))
         return zset({k: rng.choice([-2, -1, 1, 2]) for k in keys}, rng.random() < 0.15)
-
-    supports_take = True
 
     def take_content(self, value):
         if not value.cards:

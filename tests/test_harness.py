@@ -113,6 +113,17 @@ def test_explore_counts_configurations():
     assert res.visited >= 4
 
 
+def test_explore_lists_each_stuck_configuration_once():
+    # Every configuration enters the queue once, so the determinism check
+    # and ``flo explore`` count distinct stuck configurations by length.
+    from flo.opcatalog import coin
+
+    g = set_inputs(Par(node(coin()), node(coin())), (seq(1, 2), seq(3)))
+    res = explore_all(g, (SeqValue(False, ()), SeqValue(False, ())))
+    assert not res.capped and len(res.stuck) == 8
+    assert len(set(res.stuck)) == len(res.stuck)
+
+
 def payload(*items, term=False):
     return Payload(SeqValue(term, tuple(reversed(items))))
 

@@ -131,7 +131,7 @@ def test_drained_pieces_recombine_into_the_value(table, text):
 
 
 @pytest.mark.parametrize(
-    "text", [t for t in TAGS if LANGUAGES[parse_tag(t).language].supports_take]
+    "text", [t for t in TAGS if hasattr(LANGUAGES[parse_tag(t).language], "take_content")]
 )
 def test_taken_content_recombines_into_the_value(table, text):
     tag, draws = table[text]

@@ -118,6 +118,18 @@ def test_ill_typed_batch_rejected_at_the_loop_boundary():
         run_trace(g, trace)
 
 
+def test_a_bool_is_not_a_count():
+    # bool is a subclass of int, so a nat input must reject True explicitly,
+    # as the nat element type does.
+    from flo.core import BatchShapeMismatch, member
+    from flo.seq import NAT_TAG, SingletonNat, forward
+
+    assert not member(SingletonNat(True, True), NAT_TAG)
+    cfg = LoopConfig(node(forward(NAT_TAG)), (SingletonNat(None, False),))
+    with pytest.raises(BatchShapeMismatch, match="input 0"):
+        loop_iteration(cfg, batch(Payload(SingletonNat(True, True))), make_picker(RoundRobin()), None, DrainAll())
+
+
 def test_scripted_schedule_stops_when_exhausted():
     g = fold_pipeline()
     cfg = LoopConfig(g, (SeqValue(False, ()),))
@@ -174,8 +186,24 @@ def test_random_drain_recombines():
         TraceStep(batch(payload(3, 4)), None, DrainRandom(4)),
         TraceStep(batch(TERMINATOR), None, DrainAll()),
     ]
-    res = run_trace(scan_pipeline(), trace, drain_seed=7)
+    res = run_trace(scan_pipeline(), trace)
     assert res.totals == (SeqValue(True, (10, 6, 3, 1)),)
+
+
+def test_a_random_drain_follows_its_own_seed():
+    # Two traces that differ only in a DrainRandom's seed drain different
+    # portions; the totals, which drains never feed back into, agree.
+    def run(seed):
+        trace = [
+            TraceStep(batch(payload(*range(1, 9))), None, DrainRandom(seed)),
+            TraceStep(batch(TERMINATOR), None, DrainAll()),
+        ]
+        return run_trace(scan_pipeline(), trace)
+
+    a, b = run(3), run(12345)
+    assert a.drained != b.drained
+    assert a.drained == run(3).drained
+    assert a.totals == b.totals
 
 
 def test_converged_loop_is_insensitive_to_more_iterations():

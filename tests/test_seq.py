@@ -141,3 +141,16 @@ def test_singleton_nat_rejects_second_value():
     with pytest.raises(PayloadShapeMismatch):
         concat(one, Payload(SingletonNat(2, False)))
     assert concat(one, Payload(SingletonNat(1, True))) == SingletonNat(1, True)
+
+
+def test_only_seq_builds_sequence_values():
+    # A new sequence layout then changes only seq.py: other modules build
+    # sequences through its builders.
+    import pathlib
+    import re
+
+    import flo
+
+    src = pathlib.Path(flo.__file__).parent
+    callers = [p.name for p in src.glob("*.py") if p.name != "seq.py" and re.search(r"\bSeqValue\(", p.read_text())]
+    assert callers == []
