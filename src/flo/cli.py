@@ -118,8 +118,7 @@ def cmd_check(args) -> int:
             return 2
         entry = REGISTRY[args.operator]
         subject_desc = {"operator": args.operator, "params": entry.default_params}
-        ops = [entry.op_progress if p == "progress" else entry.op_eager for p in props]
-        reports = [_check_one(op, op.inputs, p, args) for op, p in zip(ops, props)]
+        reports = [_check_one(entry.op, entry.op.inputs, p, args) for p in props]
     else:
         graph = decode_graph(_load_json(args.graph))
         types = typecheck(graph).inputs

@@ -14,8 +14,6 @@ admits exactly one threshold.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .core import (
     ANY,
     B,
@@ -352,13 +350,13 @@ def _read_whole(name: str, lattice_id: str, bound: Bound, params: dict, wait: bo
     )
 
 
-def to_sequence(lattice_id: str, *, _bound: Bound = B) -> OperatorDef:
+def to_sequence(lattice_id: str) -> OperatorDef:
     """Read a whole LVar as a one-element bounded sequence, after it fixes.
 
     Bounded-only by type: on an unbounded input the value might never fix
     and the withheld output would break progress.
     """
-    return _read_whole("to_sequence", lattice_id, _bound, {"lattice": lattice_id}, wait=True)
+    return _read_whole("to_sequence", lattice_id, B, {"lattice": lattice_id}, wait=True)
 
 
 def to_sequence_naive(lattice_id: str, bound: Bound = U) -> OperatorDef:
@@ -371,7 +369,3 @@ def to_sequence_naive(lattice_id: str, bound: Bound = U) -> OperatorDef:
     params = {"lattice": lattice_id, "bound": bound.value}
     return _read_whole("to_sequence_naive", lattice_id, bound, params, wait=False)
 
-
-def to_sequence_unbounded(lattice_id: str) -> OperatorDef:
-    """Negative fixture: the guarded read mistyped as unbounded-capable."""
-    return replace(to_sequence(lattice_id, _bound=U), name="to_sequence_unbounded")

@@ -1,22 +1,23 @@
-"""Named registry of operators: builders, harness bindings, fixtures.
+"""Named registry of operators: builders, default instances, fixtures.
 
-Each entry knows how to build its operator from JSON-able parameters (for
-graph files and replay) and which binding the per-operator checks run at;
-``sample_cases`` draws the seeded cases for an operator or a graph.
-Negative fixtures live here too: operators that deliberately violate one
-guarantee each, kept so the checkers stay honest.
+Each entry builds its operator from JSON-able parameters (for graph files
+and replay) and holds the instance at its default parameters that every
+per-operator check runs on; ``sample_cases`` draws the seeded cases for an
+operator or a graph. Negative fixtures live here too: operators that
+deliberately violate one guarantee each, kept so the checkers stay honest.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .core import (
     B,
     Bound,
     ElemType,
+    FloError,
     INT,
     OperatorDef,
     ParseError,
@@ -34,7 +35,6 @@ from .lvar import (
     thresh,
     to_sequence,
     to_sequence_naive,
-    to_sequence_unbounded,
 )
 from .nested import make_nest, read_defer, write_defer
 from .programs import fold_pipeline
@@ -155,7 +155,7 @@ def coin(elem: ElemType = INT, bound: Bound = U) -> OperatorDef:
         initial_state=None,
         steps_fn=steps,
         rank_fn=rank,
-        params={"elem": str(elem)},
+        params={"elem": str(elem), "bound": bound.value},
         enabled_fn=enabled,
     )
 
@@ -208,12 +208,15 @@ def defer_accumulator_graph():
 @dataclass
 class OpEntry:
     name: str
-    op_eager: OperatorDef
-    op_progress: OperatorDef
+    op: OperatorDef
     build: Callable[[dict], OperatorDef]
     default_params: dict = field(default_factory=dict)
     # Expected harness verdicts; fixtures flip one of these to False.
     expect: dict = field(default_factory=lambda: {"eager": True, "progress": True, "rank": True})
+
+    # The names of the two bindings an entry once kept, still read by
+    # bench/workloads.py; both are ``op``.
+    op_eager = op_progress = property(lambda self: self.op)
 
 
 def sample_cases(types: tuple, kind: str, count: int, seed: int):
@@ -235,17 +238,11 @@ def sample_cases(types: tuple, kind: str, count: int, seed: int):
 
 
 def cases_for(entry: OpEntry, kind: str, count: int, seed: int):
-    """``sample_cases`` over the entry's operator at the check's binding."""
-    op = entry.op_progress if kind == "progress" else entry.op_eager
-    return sample_cases(op.inputs, kind, count, seed)
+    """``sample_cases`` over the entry's operator."""
+    return sample_cases(entry.op.inputs, kind, count, seed)
 
 
 REGISTRY: dict[str, OpEntry] = {}
-
-
-def _register(entry: OpEntry):
-    REGISTRY[entry.name] = entry
-    return entry
 
 
 def build_operator(name: str, params: Optional[dict] = None) -> OperatorDef:
@@ -257,18 +254,30 @@ def build_operator(name: str, params: Optional[dict] = None) -> OperatorDef:
     return entry.build(merged)
 
 
-def _entry_simple(name, build, default_params, progress_params=None, expect=None):
-    op = build(default_params)
-    _register(
-        OpEntry(
-            name=name,
-            op_eager=op,
-            op_progress=build({**default_params, **progress_params}) if progress_params else op,
-            build=build,
-            default_params=default_params,
-            expect=expect or {"eager": True, "progress": True, "rank": True},
-        )
-    )
+def _entry_simple(name, build, default_params, **kw):
+    REGISTRY[name] = OpEntry(name, build(default_params), build, default_params, **kw)
+
+
+def _bounded_only(build):
+    """``build`` of an operator typed bounded-only: it accepts ``"bound":
+    "B"``, which graph files may record, and refuses any other bound."""
+
+    def checked(p):
+        op = build(p)
+        if p.get("bound", "B") != "B":
+            raise FloError(f"{op.name} is bounded-only: it cannot be built at bound {p['bound']!r}")
+        return op
+
+    return checked
+
+
+def _retyped_unbounded(op: OperatorDef, name: str) -> OperatorDef:
+    """Progress fixture: bounded-only ``op`` with every stream retyped to U."""
+
+    def retype(types):
+        return tuple(StreamType(st.collection, U) for st in types)
+
+    return replace(op, name=name, inputs=retype(op.inputs), outputs=retype(op.outputs))
 
 
 def _elem(params, key="elem", default="int"):
@@ -293,16 +302,13 @@ def _populate():
     )
     _entry_simple(
         "fold",
-        lambda p: fold(p.get("init", 0), p["fn"], _elem(p), _elem(p, "elem_out")),
+        _bounded_only(lambda p: fold(p.get("init", 0), p["fn"], _elem(p), _elem(p, "elem_out"))),
         {"init": 0, "fn": "add", "elem": "int", "elem_out": "int"},
     )
     _entry_simple(
         "window",
-        lambda p: window(p["interval"], _elem(p), _bound(p)),
-        {"interval": 4, "elem": "int", "bound": "U"},
-        # Progress holds at the bounded binding; the flush of a partial
-        # window is new content, not a fixing, at unbounded ones.
-        progress_params={"bound": "B"},
+        _bounded_only(lambda p: window(p["interval"], _elem(p))),
+        {"interval": 4, "elem": "int"},
     )
     _entry_simple(
         "tee",
@@ -316,7 +322,7 @@ def _populate():
     )
     _entry_simple(
         "last",
-        lambda p: last(parse_tag(p["tag"])),
+        _bounded_only(lambda p: last(parse_tag(p["tag"]))),
         {"tag": "seq<int>"},
     )
     _entry_simple(
@@ -331,7 +337,7 @@ def _populate():
     )
     _entry_simple(
         "to_sequence",
-        lambda p: to_sequence(p["lattice"]),
+        _bounded_only(lambda p: to_sequence(p["lattice"])),
         {"lattice": "max_nat"},
     )
     _entry_simple(
@@ -396,24 +402,14 @@ def _populate():
         {"lattice": "max_nat", "bound": "U"},
         expect={"eager": False, "progress": True, "rank": True},
     )
-    _entry_simple(
-        "to_sequence_unbounded",
-        lambda p: to_sequence_unbounded(p["lattice"]),
-        {"lattice": "max_nat"},
-        expect={"eager": True, "progress": False, "rank": True},
-    )
-    _entry_simple(
-        "fold_unbounded",
-        lambda p: fold(p.get("init", 0), p["fn"], _elem(p), _elem(p, "elem_out"), _bound=U),
-        {"init": 0, "fn": "add", "elem": "int", "elem_out": "int"},
-        expect={"eager": True, "progress": False, "rank": True},
-    )
-    _entry_simple(
-        "last_unbounded",
-        lambda p: last(parse_tag(p["tag"]), _bound=U),
-        {"tag": "seq<int>"},
-        expect={"eager": True, "progress": False, "rank": True},
-    )
+    for name in ("fold", "window", "last", "to_sequence"):
+        fixture, base = f"{name}_unbounded", REGISTRY[name]
+        _entry_simple(
+            fixture,
+            lambda p, build=base.build, fixture=fixture: _retyped_unbounded(build(p), fixture),
+            base.default_params,
+            expect={"eager": True, "progress": False, "rank": True},
+        )
     _entry_simple(
         "coin",
         lambda p: coin(_elem(p), _bound(p)),

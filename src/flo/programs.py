@@ -43,7 +43,7 @@ def scan_pipeline(bound=U):
 def window_fold_pipeline(interval: int):
     """Aggregate each timestamp window with a nested fold."""
     inner = node(fold(0, "add", INT, INT))
-    return seq_chain(node(window(interval, INT, B)), node(make_nest(inner, outer_bound=B)))
+    return seq_chain(node(window(interval, INT)), node(make_nest(inner, outer_bound=B)))
 
 
 def lattice_threshold_pipeline(threshold: int, bound=U):

@@ -375,7 +375,7 @@ def scan(init, fn, elem_in: ElemType = ANY, elem_out: ElemType = ANY, bound: Bou
     return _per_item("scan", elem_in, seq_tag(elem_out), bound, AccState(init, False), on_item, on_end, params)
 
 
-def fold(init, fn, elem_in: ElemType = ANY, elem_out: ElemType = ANY, *, _bound: Bound = B) -> OperatorDef:
+def fold(init, fn, elem_in: ElemType = ANY, elem_out: ElemType = ANY) -> OperatorDef:
     """Aggregate a bounded stream; releases the result only at end of stream.
 
     Typed bounded-in, bounded-out: on an unbounded input it would withhold
@@ -390,14 +390,14 @@ def fold(init, fn, elem_in: ElemType = ANY, elem_out: ElemType = ANY, *, _bound:
         return AccState(state.acc, True), Payload(SeqValue(True, (state.acc,)))
 
     params = {"init": init, "fn": catalog.spec_of(f), "elem": str(elem_in), "elem_out": str(elem_out)}
-    return _per_item("fold", elem_in, seq_tag(elem_out), _bound, AccState(init, False), on_item, on_end, params)
+    return _per_item("fold", elem_in, seq_tag(elem_out), B, AccState(init, False), on_item, on_end, params)
 
 
 # ---------------------------------------------------------------------------
 # window
 
 
-def window(interval: int, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef:
+def window(interval: int, elem: ElemType = ANY) -> OperatorDef:
     """Group (value, timestamp) pairs into bounded inner streams.
 
     Buffers while the incoming timestamp stays within ``interval`` of the
@@ -407,6 +407,10 @@ def window(interval: int, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef
     then terminates the outer stream. Timestamps are expected to be
     non-decreasing in arrival order; late timestamps are accepted but only
     a far-enough one closes a window.
+
+    Typed bounded-in, bounded-out: once the input fixes, the partial
+    window is flushed, and that flush is new content, not a fixing, so at
+    U the outputs of a run would not be maximal.
     """
     from .nested import nested_tag  # local import: nested depends on graph
 
@@ -460,12 +464,12 @@ def window(interval: int, elem: ElemType = ANY, bound: Bound = U) -> OperatorDef
 
     return OperatorDef(
         name="window",
-        inputs=(StreamType(seq_tag(ElemType("pair", (elem, NAT))), bound),),
-        outputs=(StreamType(out_tag, bound),),
+        inputs=(StreamType(seq_tag(ElemType("pair", (elem, NAT))), B),),
+        outputs=(StreamType(out_tag, B),),
         initial_state=WindowState((), False),
         steps_fn=steps,
         rank_fn=rank,
-        params={"interval": interval, "elem": str(elem), "bound": bound.value},
+        params={"interval": interval, "elem": str(elem)},
         rank_arity=2,
         enabled_fn=enabled,
     )
@@ -525,7 +529,7 @@ def forward(tag: Tag, bound: Bound = U) -> OperatorDef:
     return _pass_through("forward", tag, bound, 1)
 
 
-def last(tag: Tag, *, _bound: Bound = B) -> OperatorDef:
+def last(tag: Tag) -> OperatorDef:
     """Extract the final value of a bounded stream.
 
     Sequence inputs yield the last element (or just the terminator when
@@ -555,8 +559,8 @@ def last(tag: Tag, *, _bound: Bound = B) -> OperatorDef:
 
     return OperatorDef(
         name="last",
-        inputs=(StreamType(tag, _bound),),
-        outputs=(StreamType(out, _bound),),
+        inputs=(StreamType(tag, B),),
+        outputs=(StreamType(out, B),),
         initial_state=LastState(NOTHING, False),
         steps_fn=steps,
         rank_fn=_content_rank(lang),

@@ -96,11 +96,9 @@ def test_criterion_2_operator_obligations():
     failures = []
     for name in STDLIB_OPERATORS:
         e = REGISTRY[name]
-        r_eager = check_eager(e.op_eager, cases_for(e, "eager", cases_per_check, seed=101))
-        r_prog = check_progress(e.op_progress, cases_for(e, "progress", cases_per_check, seed=202))
-        r_rank = check_rank_and_preservation(
-            e.op_eager, cases_for(e, "rank", cases_per_check, seed=303)
-        )
+        r_eager = check_eager(e.op, cases_for(e, "eager", cases_per_check, seed=101))
+        r_prog = check_progress(e.op, cases_for(e, "progress", cases_per_check, seed=202))
+        r_rank = check_rank_and_preservation(e.op, cases_for(e, "rank", cases_per_check, seed=303))
         for r in (r_eager, r_prog, r_rank):
             if not r.passed:
                 failures.append((name, r.prop, r.details))
@@ -119,18 +117,18 @@ def test_criterion_3_negative_fixtures():
     ok = True
 
     e = REGISTRY["to_sequence_naive"]
-    r = check_eager(e.op_eager, cases_for(e, "eager", 500, seed=5))
+    r = check_eager(e.op, cases_for(e, "eager", 500, seed=5))
     ok = ok and not r.passed and r.counterexample is not None
     # counterexample replays to the same verdict
-    ok = ok and not check_eager(e.op_eager, [r.counterexample["case"]]).passed
+    ok = ok and not check_eager(e.op, [r.counterexample["case"]]).passed
 
-    for name in ("fold_unbounded", "last_unbounded", "to_sequence_unbounded"):
+    for name in ("fold_unbounded", "last_unbounded", "to_sequence_unbounded", "window_unbounded"):
         e = REGISTRY[name]
-        r = check_progress(e.op_progress, cases_for(e, "progress", 500, seed=6))
+        r = check_progress(e.op, cases_for(e, "progress", 500, seed=6))
         ok = ok and not r.passed and r.counterexample is not None
-        ok = ok and not check_progress(e.op_progress, [r.counterexample["case"]]).passed
+        ok = ok and not check_progress(e.op, [r.counterexample["case"]]).passed
 
-    coin = REGISTRY["coin"].op_eager
+    coin = REGISTRY["coin"].op
     r = check_determinism(node(coin), (seq(1),), mode="exhaustive")
     ok = ok and not r.passed
     ok = ok and r.counterexample["schedule_a"] != r.counterexample["schedule_b"]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from flo import cli
 from flo.cli import main
+from flo.opcatalog import REGISTRY, build_operator
 
 
 def write(tmp_path, name, obj):
@@ -426,7 +428,7 @@ def test_operator_determinism_reads_the_inputs_file(tmp_path, capsys):
     seeded = json.loads(capsys.readouterr().out)["details"]["configs"]
     assert main(args + ["--inputs", ins]) == 0
     configs = json.loads(capsys.readouterr().out)["details"]["configs"]
-    expected = check_determinism(node(REGISTRY["map"].op_eager), (value,)).details["configs"]
+    expected = check_determinism(node(REGISTRY["map"].op), (value,)).details["configs"]
     assert configs == expected != seeded
 
 
@@ -488,3 +490,34 @@ def test_replay_of_a_graph_counterexample(tmp_path, capsys):
     assert "operator" not in replayed
     assert replayed["graph"] == checked["graph"]
     assert replayed["property"] == "RankDescent" and replayed["verdict"] == "Fail"
+
+
+def test_replay_of_a_fixture_in_a_graph_file_reproduces_its_failure(tmp_path, capsys):
+    graph = {
+        "seq": [
+            {"op": {"name": "map", "params": {"fn": "inc", "elem": "int", "elem_out": "int", "bound": "U"}}},
+            {"op": {"name": "fold_unbounded", "params": {"init": 0, "fn": "add", "elem": "int", "elem_out": "int"}}},
+        ]
+    }
+    g = write(tmp_path, "g.json", graph)
+    checked, replayed = _check_then_replay(tmp_path, capsys, [g], "progress")
+    assert replayed["verdict"] == "Fail" and replayed["replayed"] is True
+    assert replayed["details"] == checked["details"]
+
+
+# ``constant_rank`` is never stuck, so only its rank check ends without
+# exhausting the step budget.
+@pytest.mark.parametrize(
+    "name,prop",
+    [(name, "rank" if name == "constant_rank" else "all") for name in sorted(REGISTRY)] + [("window", "progress")],
+)
+def test_check_operator_prints_the_params_of_what_it_checked(monkeypatch, capsys, name, prop):
+    checked, check_one = [], cli._check_one
+    monkeypatch.setattr(cli, "_check_one", lambda op, *rest: checked.append(op) or check_one(op, *rest))
+    main(["check", "--operator", name, "--property", prop, "--cases", "3"])
+    reports = json.loads(capsys.readouterr().out)
+    reports = reports if isinstance(reports, list) else [reports]
+    assert len(reports) == len(checked)
+    for report, op in zip(reports, checked):
+        rebuilt = build_operator(name, report["params"])
+        assert (rebuilt.inputs, rebuilt.outputs) == (op.inputs, op.outputs)

@@ -14,7 +14,7 @@ from flo import programs
 from flo.core import bottom, concat
 from flo.gen import gen_delta, gen_value
 from flo.graph import compile_graph, explore_all, in_types, inputs, node, out_types, run_steps, set_inputs
-from flo.opcatalog import REGISTRY
+from flo.opcatalog import REGISTRY, build_operator
 from flo.scheduler import RandomSched, RoundRobin, make_picker
 from flo.seq import seq
 
@@ -33,9 +33,10 @@ PROGRAMS = {
 }
 SUBJECTS = dict(PROGRAMS)
 for _name, _entry in REGISTRY.items():
-    SUBJECTS[f"op:{_name}"] = lambda e=_entry: node(e.op_eager)
-    if _entry.op_progress is not _entry.op_eager:
-        SUBJECTS[f"op:{_name}:progress"] = lambda e=_entry: node(e.op_progress)
+    SUBJECTS[f"op:{_name}"] = lambda e=_entry: node(e.op)
+# window as graph files recorded its former bounded progress binding, with
+# "bound": "B"; that form still builds and must run as ``op:window`` does.
+SUBJECTS["op:window:progress"] = lambda: node(build_operator("window", {"bound": "B"}))
 
 SCHEDULES = [RoundRobin(), RandomSched(1), RandomSched(2), RandomSched(3)]
 ROUNDS = 8  # feeds between bounded runs; the last one runs to stuck

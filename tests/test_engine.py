@@ -341,7 +341,7 @@ def test_the_hint_is_sound_on_the_registry_nest():
     entry = REGISTRY["nest"]
     for kind in ("eager", "progress"):
         for case in cases_for(entry, kind, 40, seed=21):
-            assert_hint_sound(compile_graph(node(entry.op_eager)), case)
+            assert_hint_sound(compile_graph(node(entry.op)), case)
 
 
 def test_the_hint_is_left_out_of_equality_hash_and_repr():
@@ -481,7 +481,7 @@ def test_a_synced_nest_step_equals_a_fresh_sync_on_the_registry_nest(nest_checke
     entry = REGISTRY["nest"]
     for kind in ("eager", "progress"):
         for case in cases_for(entry, kind, 20, seed=23):
-            run_every_way(compile_graph(node(entry.op_eager)), case)
+            run_every_way(compile_graph(node(entry.op)), case)
     assert nest_checked["fed"] > 0
 
 

@@ -164,12 +164,6 @@ class TestRunToStuck:
     def test_schedules_agree(self):
         import random
 
-        g0 = seq_chain(
-            Par(node(seq_map("inc", INT, INT)), node(seq_map("inc", INT, INT))),
-            node(fold(0, "add", INT, INT, _bound=U)),
-        )
-        # two parallel maps into one fold is ill-typed (arity); build a
-        # simpler two-node pipeline instead
         g0 = scan_map()
         g0 = set_inputs(g0, (seq(1, 2, 3, terminated=True),))
         outs0 = (SeqValue(False, ()),)

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from flo.core import B, EMPTY, INT, Payload, TERMINATOR
+from flo.core import B, EMPTY, INT, U, BoundednessViolation, FloError, Payload, TERMINATOR
 from flo.gen import gen_value
-from flo.graph import Par, explore_all, node, set_inputs
+from flo.graph import Par, explore_all, node, seq_chain, set_inputs, typecheck
 from flo.harness import (
     OpCase,
     check_determinism,
@@ -15,16 +15,15 @@ from flo.harness import (
     check_progress,
     check_rank_and_preservation,
 )
-from flo.opcatalog import REGISTRY, STDLIB_OPERATORS, cases_for
+from flo.opcatalog import REGISTRY, STDLIB_OPERATORS, build_operator, cases_for, sample_cases
 from flo.programs import five_node_graph, fold_pipeline
 from flo.scheduler import DrainAll, DrainNone, InputBatch, TraceStep
-from flo.seq import SeqValue, seq, seq_map
+from flo.seq import SeqValue, forward, seq, seq_map, window
 
 
 def entry_cases(name, kind, n, seed=7):
     e = REGISTRY[name]
-    op = e.op_progress if kind == "progress" else e.op_eager
-    return op, cases_for(e, kind, n, seed)
+    return e.op, cases_for(e, kind, n, seed)
 
 
 def test_scan_passes_eager():
@@ -33,13 +32,13 @@ def test_scan_passes_eager():
 
 
 def test_scan_eager_spec_example():
-    op = REGISTRY["scan"].op_eager
+    op = REGISTRY["scan"].op
     case = OpCase(buffers=(seq(1),), delta=(Payload(seq(2)),))
     assert check_eager(op, [case]).passed
 
 
 def test_empty_delta_always_passes():
-    op = REGISTRY["scan"].op_eager
+    op = REGISTRY["scan"].op
     case = OpCase(buffers=(seq(1, 2),), delta=(EMPTY,))
     assert check_eager(op, [case]).passed
 
@@ -73,7 +72,7 @@ def test_rank_fixture_fails():
 
 
 def test_single_operator_graph_deterministic():
-    op = REGISTRY["zset_map"].op_eager
+    op = REGISTRY["zset_map"].op
     rng = random.Random(3)
     ins = tuple(gen_value(st.collection, rng) for st in op.inputs)
     report = check_determinism(node(op), ins, mode="exhaustive")
@@ -89,7 +88,7 @@ def test_five_node_graph_exhaustive_determinism():
 
 
 def test_coin_fails_determinism_with_two_schedules():
-    op = REGISTRY["coin"].op_eager
+    op = REGISTRY["coin"].op
     report = check_determinism(node(op), (seq(1),), mode="exhaustive")
     assert not report.passed
     cx = report.counterexample
@@ -157,7 +156,7 @@ def test_event_loop_equivalence_catches_drift():
 def test_presteps_cover_midrun_states():
     # A case with presteps starts the eager split from a mid-execution
     # configuration rather than the initial one.
-    op = REGISTRY["scan"].op_eager
+    op = REGISTRY["scan"].op
     case = OpCase(buffers=(seq(1, 2, 3),), delta=(TERMINATOR,), presteps=2)
     assert check_eager(op, [case]).passed
 
@@ -172,7 +171,7 @@ def test_operator_stuck_uniqueness(name, rng=None):
     sampler = _random.Random(99)
     for case in cases_for(e, "eager", 25, seed=99):
         report = check_determinism(
-            node(e.op_eager), case.buffers, mode="exhaustive", max_configs=20_000
+            node(e.op), case.buffers, mode="exhaustive", max_configs=20_000
         )
         assert report.passed, (name, case)
 
@@ -251,7 +250,7 @@ def test_buffer_leaving_its_type_is_a_preservation_fail(as_graph):
 
 
 def test_determinism_takes_an_operator():
-    op = REGISTRY["coin"].op_eager
+    op = REGISTRY["coin"].op
     report = check_determinism(op, (seq(1),))
     assert not report.passed
     cx = report.counterexample
@@ -265,8 +264,7 @@ def test_graph_cases_match_operator_cases():
 
     e = REGISTRY["zip"]
     for kind in ("eager", "progress"):
-        op = e.op_progress if kind == "progress" else e.op_eager
-        graph_cases = list(sample_cases(in_types(node(op)), kind, 20, seed=5))
+        graph_cases = list(sample_cases(in_types(node(e.op)), kind, 20, seed=5))
         assert graph_cases == list(cases_for(e, kind, 20, seed=5))
 
 
@@ -300,7 +298,7 @@ def _replay_labels(g, outs, schedule):
 
 
 def test_determinism_without_a_stuck_configuration_fails_with_a_lasso():
-    report = check_determinism(REGISTRY["constant_rank"].op_eager, (seq(1),))
+    report = check_determinism(REGISTRY["constant_rank"].op, (seq(1),))
     assert not report.passed
     assert report.details["stuck"] == 0
     cx = report.counterexample
@@ -311,7 +309,7 @@ def test_lasso_schedule_reaches_a_configuration_its_cycle_returns_to():
     from flo.core import bottom
     from flo.graph import out_types, seq_chain
 
-    g = seq_chain(node(seq_map("inc")), node(REGISTRY["constant_rank"].op_eager))
+    g = seq_chain(node(seq_map("inc")), node(REGISTRY["constant_rank"].op))
     report = check_determinism(g, (seq(1, 2),))
     assert not report.passed
     cx = report.counterexample
@@ -366,7 +364,7 @@ def test_sampled_determinism_fail_names_the_two_sampled_runs():
     from flo.graph import run_to_stuck
     from flo.scheduler import RandomSched, make_picker
 
-    op, inputs = REGISTRY["coin"].op_eager, (seq(1, 2),)
+    op, inputs = REGISTRY["coin"].op, (seq(1, 2),)
     report = check_determinism(op, inputs, mode="sampled", samples=20, seed=4)
     assert not report.passed
     assert report.details["sampled"] == 20
@@ -408,7 +406,7 @@ def test_progress_runs_once_per_case_when_fixing_changes_no_buffer(runs):
 
 
 def test_progress_reruns_a_case_whose_unbounded_input_is_unfixed(runs):
-    op = REGISTRY["map"].op_progress
+    op = REGISTRY["map"].op
     assert check_progress(op, [OpCase(buffers=(seq(1, 2),))]).passed
     assert runs["n"] == 2
     assert check_progress(op, [OpCase(buffers=(seq(1, 2, terminated=True),))]).passed
@@ -434,7 +432,7 @@ def rerun_progress(subject, cases, budget=4000):
     return PropertyReport("StreamingProgress", "Pass", n)
 
 
-@pytest.mark.parametrize("name", STDLIB_OPERATORS + ("fold_unbounded", "last_unbounded", "to_sequence_unbounded"))
+@pytest.mark.parametrize("name", STDLIB_OPERATORS + ("fold_unbounded", "last_unbounded", "to_sequence_unbounded", "window_unbounded"))
 def test_progress_verdicts_match_the_always_rerun_check(name):
     op, cases = entry_cases(name, "progress", 40, seed=202)
     cases = list(cases)
@@ -446,6 +444,41 @@ def test_progress_verdicts_match_the_always_rerun_check(name):
 
 @pytest.mark.parametrize("no_runs", [{"samples": 0}, {"seeds": ()}], ids=["samples=0", "seeds=()"])
 def test_sampled_determinism_with_no_runs_passes_with_no_cases(no_runs):
-    report = check_determinism(REGISTRY["map"].op_eager, (seq(1, 2),), mode="sampled", **no_runs)
+    report = check_determinism(REGISTRY["map"].op, (seq(1, 2),), mode="sampled", **no_runs)
     assert (report.verdict, report.cases) == ("Pass", 0)
     assert report.details["sampled"] == 0
+
+
+BOUND_TAKERS = ("map", "filter", "scan", "tee", "forward", "fold_lattice", "thresh", "zset_map") + (
+    "zset_join", "edge_join", "set_union", "zip", "nest", "nest_once"
+)
+# Every bound the type system admits for each of them; ``nest_once`` admits
+# U only with no trailing closed inner streams.
+ADMITTED = [
+    (name, {"bound": bound, **({"limit": 0} if (name, bound) == ("nest_once", "U") else {})})
+    for name in BOUND_TAKERS
+    for bound in ("B", "U")
+]
+
+
+@pytest.mark.parametrize("name,params", ADMITTED, ids=[f"{n}-{p['bound']}" for n, p in ADMITTED])
+def test_every_admitted_instantiation_passes_every_check(name, params):
+    op = build_operator(name, params)
+    checks = {"eager": check_eager, "progress": check_progress, "rank": check_rank_and_preservation}
+    for kind, check in checks.items():
+        report = check(op, sample_cases(op.inputs, kind, 200, 0))
+        assert report.passed, (kind, report.details)
+
+
+@pytest.mark.parametrize("name", ["fold", "window", "last", "to_sequence"])
+def test_a_bounded_only_operator_refuses_an_unbounded_build(name):
+    with pytest.raises(FloError, match="bounded-only"):
+        build_operator(name, {"bound": "U"})
+    op = build_operator(name, {"bound": "B"})
+    assert all(st.bound is B for st in op.inputs + op.outputs)
+
+
+def test_window_fed_an_unbounded_stream_is_ill_typed():
+    op = window(4, INT)
+    with pytest.raises(BoundednessViolation):
+        typecheck(seq_chain(node(forward(op.inputs[0].collection, U)), node(op)))

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from flo import programs
-from flo.core import B, INT, StreamType, U
+from flo.core import B, INT, FloError, StreamType, U
 from flo.gen import gen_delta, gen_value
-from flo.graph import compile_graph, inputs, typecheck
+from flo.graph import compile_graph, in_types, inputs, node, out_types, typecheck
 from flo.jsonio import (
     decode_delta,
     decode_graph,
@@ -19,6 +19,7 @@ from flo.jsonio import (
 )
 from flo.lvar import lvar_tag
 from flo.nested import nested_tag
+from flo.opcatalog import REGISTRY, build_operator
 from flo.seq import NAT_TAG, seq_tag
 from flo.sets import edge_tag, set_tag
 from flo.zset import zset_tag
@@ -132,3 +133,16 @@ def test_identical_operator_specs_share_one_operator():
     g = compile_graph(decode_graph({"par": [spec, buffered, other]}))
     assert g.nodes[0].op is g.nodes[1].op is not g.nodes[2].op
     assert [n.buffers[0].items for n in g.nodes] == [(), (1,), ()]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_every_registered_operator_decodes_at_the_types_it_was_encoded_at(name):
+    ops = [REGISTRY[name].op]
+    for bound in ("B", "U"):
+        try:
+            ops.append(build_operator(name, {"bound": bound}))
+        except FloError:  # a bound the operator does not admit
+            pass
+    for op in ops:
+        again = decode_graph(encode_graph(node(op)))
+        assert (in_types(again), out_types(again)) == (op.inputs, op.outputs)

@@ -292,21 +292,12 @@ EVALUATED = {
 
 def counted_ops():
     """(registry name, operator) for every registered operator that declares
-    ``enabled_fn``, each operator once."""
-    ops = {}
-    for name, entry in sorted(REGISTRY.items()):
-        for op in (entry.op_eager, entry.op_progress):
-            if op.enabled_fn is not None:
-                ops[id(op)] = (name, op)
-    return list(ops.values())
+    ``enabled_fn``."""
+    return [(name, entry.op) for name, entry in sorted(REGISTRY.items()) if entry.op.enabled_fn is not None]
 
 
 def test_every_operator_but_the_named_ones_declares_its_count():
-    evaluated = {
-        name
-        for name, entry in REGISTRY.items()
-        if entry.op_eager.enabled_fn is None or entry.op_progress.enabled_fn is None
-    }
+    evaluated = {name for name, entry in REGISTRY.items() if entry.op.enabled_fn is None}
     assert evaluated == set(EVALUATED)
 
 
@@ -352,10 +343,10 @@ def test_enabled_fn_counts_the_fast_outcomes(name, op):
 def test_the_walk_reaches_two_outcome_drains_and_both_sided_joins():
     # The walk meets set_union with both sides pending (two outcomes, of
     # which RandomSched runs take either) and zset_join with cards on both.
-    union = REGISTRY["set_union"].op_eager
+    union = REGISTRY["set_union"].op
     counts = [union.enabled_fn(n.buffers, n.state) for n in walked_nodes(union)]
     assert counts.count(2) > 50
-    join = REGISTRY["zset_join"].op_eager
+    join = REGISTRY["zset_join"].op
     both = [n for n in walked_nodes(join) if n.buffers[0].cards and n.buffers[1].cards]
     assert len(both) > 50
 
@@ -369,7 +360,7 @@ def test_the_walk_reaches_two_outcome_drains_and_both_sided_joins():
     ids=["one-when-stuck", "zero-with-right-cards"],
 )
 def test_the_count_test_catches_a_wrong_zset_join_count(wrong):
-    join = REGISTRY["zset_join"].op_eager
+    join = REGISTRY["zset_join"].op
     assert miscounted(join, wrong(join.enabled_fn)) != []
 
 

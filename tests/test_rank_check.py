@@ -14,7 +14,7 @@ import reference_engine as ref
 from flo.core import INT, NAT, U, OperatorDef, Payload, Rank, StepBudgetExceeded, StepResult, StreamType, bottom, member
 from flo.graph import apply_outputs, budget_message, compile_graph, graph_rank, in_types, node, out_types, seq_chain
 from flo.harness import OpCase, PropertyReport, check_rank_and_preservation
-from flo.opcatalog import REGISTRY, sample_cases
+from flo.opcatalog import REGISTRY, build_operator, sample_cases
 from flo.scheduler import RandomSched, make_picker
 from flo.seq import SEQ, SeqValue, seq, seq_map, seq_tag
 from test_deep_graphs import program_graphs
@@ -81,11 +81,10 @@ def outcome(check, subject, cases, **kw):
 
 
 def bindings():
-    ops = {}
-    for name, e in REGISTRY.items():
-        ops[f"{name}:eager"] = e.op_eager
-        if e.op_progress is not e.op_eager:
-            ops[f"{name}:progress"] = e.op_progress
+    # Ids keep their ":eager" suffix so that runs of this suite stay comparable.
+    ops = {f"{name}:eager": e.op for name, e in REGISTRY.items()}
+    # window as graph files recorded its former bounded progress binding.
+    ops["window:progress"] = build_operator("window", {"bound": "B"})
     return ops
 
 
